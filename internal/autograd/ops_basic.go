@@ -11,12 +11,8 @@ func Add(a, b *Value) *Value {
 	out := tensor.Add(a.T, b.T)
 	node := newNode(out, "add", nil, a, b)
 	node.back = func() {
-		if a.requiresGrad {
-			accumulate(a, tensor.ReduceTo(node.Grad, a.T.Shape()))
-		}
-		if b.requiresGrad {
-			accumulate(b, tensor.ReduceTo(node.Grad, b.T.Shape()))
-		}
+		accumulateReduced(a, node.Grad)
+		accumulateReduced(b, node.Grad)
 	}
 	return node
 }
@@ -26,13 +22,11 @@ func Sub(a, b *Value) *Value {
 	out := tensor.Sub(a.T, b.T)
 	node := newNode(out, "sub", nil, a, b)
 	node.back = func() {
-		if a.requiresGrad {
-			accumulate(a, tensor.ReduceTo(node.Grad, a.T.Shape()))
-		}
+		accumulateReduced(a, node.Grad)
 		if b.requiresGrad {
 			g := tensor.ReduceTo(node.Grad, b.T.Shape())
 			g.ScaleInPlace(-1)
-			accumulate(b, g)
+			sink(b, g)
 		}
 	}
 	return node
@@ -44,10 +38,10 @@ func Mul(a, b *Value) *Value {
 	node := newNode(out, "mul", nil, a, b)
 	node.back = func() {
 		if a.requiresGrad {
-			accumulate(a, tensor.ReduceTo(tensor.Mul(node.Grad, b.T), a.T.Shape()))
+			sinkReduced(a, tensor.Mul(node.Grad, b.T))
 		}
 		if b.requiresGrad {
-			accumulate(b, tensor.ReduceTo(tensor.Mul(node.Grad, a.T), b.T.Shape()))
+			sinkReduced(b, tensor.Mul(node.Grad, a.T))
 		}
 	}
 	return node
@@ -59,13 +53,15 @@ func Div(a, b *Value) *Value {
 	node := newNode(out, "div", nil, a, b)
 	node.back = func() {
 		if a.requiresGrad {
-			accumulate(a, tensor.ReduceTo(tensor.Div(node.Grad, b.T), a.T.Shape()))
+			sinkReduced(a, tensor.Div(node.Grad, b.T))
 		}
 		if b.requiresGrad {
 			// d/db (a/b) = -a/b².
-			g := tensor.Mul(node.Grad, tensor.Div(out, b.T))
+			q := tensor.Div(out, b.T)
+			g := tensor.Mul(node.Grad, q)
+			q.Release()
 			g.ScaleInPlace(-1)
-			accumulate(b, tensor.ReduceTo(g, b.T.Shape()))
+			sinkReduced(b, g)
 		}
 	}
 	return node
@@ -75,7 +71,7 @@ func Div(a, b *Value) *Value {
 func Scale(a *Value, alpha float64) *Value {
 	node := newNode(tensor.Scale(a.T, alpha), "scale", nil, a)
 	node.back = func() {
-		accumulate(a, tensor.Scale(node.Grad, alpha))
+		sink(a, tensor.Scale(node.Grad, alpha))
 	}
 	return node
 }
@@ -104,7 +100,7 @@ func ReLU(a *Value) *Value {
 				od[i] = gd[i]
 			}
 		}
-		accumulate(a, g)
+		sink(a, g)
 	}
 	return node
 }
@@ -119,7 +115,7 @@ func Tanh(a *Value) *Value {
 		for i := range od {
 			dd[i] = gd[i] * (1 - od[i]*od[i])
 		}
-		accumulate(a, g)
+		sink(a, g)
 	}
 	return node
 }
@@ -129,7 +125,7 @@ func Exp(a *Value) *Value {
 	out := tensor.Exp(a.T)
 	node := newNode(out, "exp", nil, a)
 	node.back = func() {
-		accumulate(a, tensor.Mul(node.Grad, out))
+		sink(a, tensor.Mul(node.Grad, out))
 	}
 	return node
 }
@@ -139,7 +135,7 @@ func Log(a *Value) *Value {
 	out := tensor.Log(a.T)
 	node := newNode(out, "log", nil, a)
 	node.back = func() {
-		accumulate(a, tensor.Div(node.Grad, a.T))
+		sink(a, tensor.Div(node.Grad, a.T))
 	}
 	return node
 }
@@ -151,7 +147,7 @@ func Square(a *Value) *Value {
 	node.back = func() {
 		g := tensor.Mul(node.Grad, a.T)
 		g.ScaleInPlace(2)
-		accumulate(a, g)
+		sink(a, g)
 	}
 	return node
 }
@@ -161,8 +157,7 @@ func Sum(a *Value) *Value {
 	out := tensor.Scalar(a.T.Sum())
 	node := newNode(out, "sum", nil, a)
 	node.back = func() {
-		g := tensor.Full(node.Grad.Item(), a.T.Shape()...)
-		accumulate(a, g)
+		sink(a, tensor.Full(node.Grad.Item(), a.T.Shape()...))
 	}
 	return node
 }
@@ -173,8 +168,7 @@ func Mean(a *Value) *Value {
 	out := tensor.Scalar(a.T.Sum() / n)
 	node := newNode(out, "mean", nil, a)
 	node.back = func() {
-		g := tensor.Full(node.Grad.Item()/n, a.T.Shape()...)
-		accumulate(a, g)
+		sink(a, tensor.Full(node.Grad.Item()/n, a.T.Shape()...))
 	}
 	return node
 }
@@ -187,8 +181,10 @@ func SumAxis(a *Value, axis int) *Value {
 		shape := a.T.Shape()
 		keep := node.Grad.Reshape(keepDimShape(shape, axis)...)
 		// Broadcast the kept-dim gradient back across the reduced axis.
-		g := tensor.Mul(keep, tensor.Ones(shape...))
-		accumulate(a, g)
+		ones := tensor.Ones(shape...)
+		g := tensor.Mul(keep, ones)
+		ones.Release()
+		sink(a, g)
 	}
 	return node
 }
@@ -218,7 +214,31 @@ func Sqrt(a *Value) *Value {
 		for i := range od {
 			dd[i] = gd[i] / (2 * math.Max(od[i], 1e-12))
 		}
-		accumulate(a, g)
+		sink(a, g)
 	}
 	return node
+}
+
+// accumulateReduced accumulates g, summed down to p's shape (the inverse of
+// a broadcast), into p. A g already of p's shape is passed through as is.
+func accumulateReduced(p *Value, g *tensor.Tensor) {
+	if !p.requiresGrad {
+		return
+	}
+	if g.SameShape(p.T) {
+		accumulate(p, g)
+		return
+	}
+	sink(p, tensor.ReduceTo(g, p.T.Shape()))
+}
+
+// sinkReduced is accumulateReduced for a backward temporary g, which it
+// consumes.
+func sinkReduced(p *Value, g *tensor.Tensor) {
+	if g.SameShape(p.T) {
+		sink(p, g)
+		return
+	}
+	sink(p, tensor.ReduceTo(g, p.T.Shape()))
+	g.Release()
 }

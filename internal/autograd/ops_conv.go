@@ -12,14 +12,6 @@ import (
 // images cheaper than this in aggregate stay on the calling goroutine.
 const convChunkOps = parallel.DefaultChunkOps
 
-// colBufs pools the per-image im2col column matrices. A forward pass draws
-// one buffer per image and retains it for the backward pass (the weight
-// gradient re-reads the columns); back() returns the buffers once the
-// gradients are computed. Buffers drawn by a tape that is never
-// backpropagated (a no-grad forward) are simply dropped for the GC to
-// collect — sync.Pool makes that safe, it just forgoes the reuse.
-var colBufs parallel.ScratchPool[float64]
-
 // gwPartials caps how many weight-gradient partial accumulators Conv2D's
 // backward materializes at once. A fixed, machine-independent count keeps
 // the reduction order deterministic and bounds extra memory to
@@ -53,17 +45,16 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 	wMat := w.T.Reshape(o, k)
 
 	out := tensor.New(bs, o, geom.OutH, geom.OutW)
-	cols := make([][]float64, bs)
-	bufs := make([]*[]float64, bs)
+	// The per-image column matrices are kept for the weight gradient, as
+	// the node's scratch.
+	cols := make([]*tensor.Tensor, bs)
 	imgLen := c * h * wd
 	imgGrain := parallel.GrainForCost(2*o*k*p, convChunkOps)
 	parallel.For(bs, imgGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			bufs[i] = colBufs.Get(k * p)
-			cols[i] = *bufs[i]
-			geom.Im2col(x.T.Data()[i*imgLen:(i+1)*imgLen], cols[i])
-			colT := tensor.FromSlice(cols[i], k, p)
-			res := tensor.MatMul(wMat, colT)
+			cols[i] = geom.Unfold(x.T.Data()[i*imgLen : (i+1)*imgLen])
+			res := tensor.FromSlice(out.Data()[i*o*p:(i+1)*o*p], o, p)
+			tensor.MatMulAdd(res, wMat, cols[i])
 			if b != nil {
 				rd := res.Data()
 				for ch := 0; ch < o; ch++ {
@@ -74,11 +65,11 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 					}
 				}
 			}
-			copy(out.Data()[i*o*p:(i+1)*o*p], res.Data())
 		}
 	})
 
 	node := newNode(out, "conv2d", nil, x, w, b)
+	node.scratch = cols
 	node.back = func() {
 		if w.requiresGrad {
 			// Weight-gradient partials are accumulated over a fixed number
@@ -106,8 +97,9 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 					}
 					for i := c * per; i < hi; i++ {
 						dOut := tensor.FromSlice(node.Grad.Data()[i*o*p:(i+1)*o*p], o, p)
-						colT := tensor.FromSlice(cols[i], k, p)
-						acc.AddInPlace(tensor.MatMulT2(dOut, colT))
+						gi := tensor.MatMulT2(dOut, cols[i])
+						acc.AddInPlace(gi)
+						gi.Release()
 					}
 					partials[c] = acc
 				}
@@ -115,8 +107,10 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 			gw := partials[0]
 			for _, part := range partials[1:] {
 				gw.AddInPlace(part)
+				part.Release()
 			}
 			accumulate(w, gw.Reshape(w.T.Shape()...))
+			gw.Release()
 		}
 		if b != nil && b.requiresGrad {
 			gb := tensor.New(o)
@@ -131,7 +125,7 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 					gb.Data()[ch] += s
 				}
 			}
-			accumulate(b, gb)
+			sink(b, gb)
 		}
 		if x.requiresGrad {
 			gx := tensor.New(x.T.Shape()...)
@@ -140,19 +134,10 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 					dOut := tensor.FromSlice(node.Grad.Data()[i*o*p:(i+1)*o*p], o, p)
 					dCols := tensor.MatMulT1(wMat, dOut) // (k,p)
 					geom.Col2im(dCols.Data(), gx.Data()[i*imgLen:(i+1)*imgLen])
+					dCols.Release()
 				}
 			})
-			accumulate(x, gx)
-		}
-		// The column matrices are dead once the gradients above are
-		// computed; return them to the pool. Backward visits each node at
-		// most once per tape, so nothing reads cols after this (a hypothetical
-		// second Backward over the same tape would nil-panic loudly here
-		// rather than silently reuse recycled buffers).
-		for i := range cols {
-			cols[i] = nil
-			colBufs.Put(bufs[i])
-			bufs[i] = nil
+			sink(x, gx)
 		}
 	}
 	return node, nil
@@ -170,7 +155,10 @@ func MaxPool2D(x *Value, size int) (*Value, error) {
 	}
 	oh, ow := h/size, w/size
 	out := tensor.New(bs, c, oh, ow)
-	argmax := make([]int, bs*c*oh*ow)
+	// argmax holds each output's flat input index (exact in a float64),
+	// on free-list storage as the node's scratch.
+	argmaxT := tensor.New(bs, c, oh, ow)
+	argmax := argmaxT.Data()
 	xd := x.T.Data()
 	od := out.Data()
 	for bc := 0; bc < bs*c; bc++ {
@@ -190,18 +178,19 @@ func MaxPool2D(x *Value, size int) (*Value, error) {
 				}
 				oi := bc*oh*ow + oy*ow + ox
 				od[oi] = best
-				argmax[oi] = bc*h*w + bestIdx
+				argmax[oi] = float64(bc*h*w + bestIdx)
 			}
 		}
 	}
 	node := newNode(out, "maxpool2d", nil, x)
+	node.scratch = []*tensor.Tensor{argmaxT}
 	node.back = func() {
 		g := tensor.New(x.T.Shape()...)
 		gd, ng := g.Data(), node.Grad.Data()
 		for oi, src := range argmax {
-			gd[src] += ng[oi]
+			gd[int(src)] += ng[oi]
 		}
-		accumulate(x, g)
+		sink(x, g)
 	}
 	return node, nil
 }
@@ -234,7 +223,7 @@ func GlobalAvgPool(x *Value) (*Value, error) {
 				plane[i] = v
 			}
 		}
-		accumulate(x, g)
+		sink(x, g)
 	}
 	return node, nil
 }

@@ -25,7 +25,7 @@ func Softmax(x *Value) *Value {
 				gd[r*d+i] = od[r*d+i] * (ng[r*d+i] - dot)
 			}
 		}
-		accumulate(x, g)
+		sink(x, g)
 	}
 	return node
 }
@@ -53,6 +53,7 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) (*Value, error) {
 	}
 	loss /= float64(bs)
 	node := newNode(tensor.Scalar(loss), "softmaxCE", nil, logits)
+	node.scratch = []*tensor.Tensor{probs}
 	node.back = func() {
 		up := node.Grad.Item() / float64(bs)
 		g := probs.Clone()
@@ -61,7 +62,7 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) (*Value, error) {
 			gd[i*k+y]--
 		}
 		g.ScaleInPlace(up)
-		accumulate(logits, g)
+		sink(logits, g)
 	}
 	return node, nil
 }
@@ -77,8 +78,8 @@ func DistillLoss(student *Value, teacher *tensor.Tensor, temperature float64) (*
 		return nil, fmt.Errorf("autograd: DistillLoss temperature must be positive, got %v", temperature)
 	}
 	bs, k := student.T.Dim(0), student.T.Dim(1)
-	p := tensor.Softmax(tensor.Scale(teacher, 1/temperature))
-	q := tensor.Softmax(tensor.Scale(student.T, 1/temperature))
+	p := softmaxScaled(teacher, 1/temperature)
+	q := softmaxScaled(student.T, 1/temperature)
 	loss := 0.0
 	pd, qd := p.Data(), q.Data()
 	for i := range pd {
@@ -88,6 +89,7 @@ func DistillLoss(student *Value, teacher *tensor.Tensor, temperature float64) (*
 	}
 	loss = loss / float64(bs) * temperature * temperature
 	node := newNode(tensor.Scalar(loss), "distill", nil, student)
+	node.scratch = []*tensor.Tensor{p, q}
 	node.back = func() {
 		// dL/dz_student = T * (q - p) / B (the T² scale cancels one 1/T
 		// from the softened softmax derivative).
@@ -97,7 +99,7 @@ func DistillLoss(student *Value, teacher *tensor.Tensor, temperature float64) (*
 		for i := range gd {
 			gd[i] = up * (qd[i] - pd[i])
 		}
-		accumulate(student, g)
+		sink(student, g)
 	}
 	return node, nil
 }
@@ -161,7 +163,7 @@ func CosineSimToConst(u *Value, p *tensor.Tensor) (*Value, error) {
 				}
 			}
 		}
-		accumulate(u, g)
+		sink(u, g)
 	}
 	return node, nil
 }
@@ -210,7 +212,7 @@ func CosineSimPairs(u *Value, v *tensor.Tensor) (*Value, error) {
 				row[t] = gi * (vi[t]*inv - si*ui[t]*invU2)
 			}
 		}
-		accumulate(u, g)
+		sink(u, g)
 	}
 	return node, nil
 }
@@ -289,6 +291,7 @@ func InfoNCE(sims *Value, positives [][]int, tau float64) (*Value, error) {
 	loss /= float64(active)
 
 	node := newNode(tensor.Scalar(loss), "infoNCE", nil, sims)
+	node.scratch = []*tensor.Tensor{softAll, softPos}
 	node.back = func() {
 		up := node.Grad.Item() / (tau * float64(active))
 		g := tensor.New(bs, n)
@@ -304,7 +307,7 @@ func InfoNCE(sims *Value, positives [][]int, tau float64) (*Value, error) {
 				g.Set(up*d, i, j)
 			}
 		}
-		accumulate(sims, g)
+		sink(sims, g)
 	}
 	return node, nil
 }
@@ -329,7 +332,16 @@ func L2Penalty(x *Value, w, ref *tensor.Tensor) (*Value, error) {
 		for i := range xd {
 			gd[i] = up * wd[i] * (xd[i] - rd[i])
 		}
-		accumulate(x, g)
+		sink(x, g)
 	}
 	return node, nil
+}
+
+// softmaxScaled returns the row softmax of alpha·t, releasing the scaled
+// intermediate.
+func softmaxScaled(t *tensor.Tensor, alpha float64) *tensor.Tensor {
+	scaled := tensor.Scale(t, alpha)
+	out := tensor.Softmax(scaled)
+	scaled.Release()
+	return out
 }

@@ -12,11 +12,11 @@ func MatMul(a, b *Value) *Value {
 	node.back = func() {
 		if a.requiresGrad {
 			// dA = dC · Bᵀ
-			accumulate(a, tensor.MatMulT2(node.Grad, b.T))
+			sink(a, tensor.MatMulT2(node.Grad, b.T))
 		}
 		if b.requiresGrad {
 			// dB = Aᵀ · dC
-			accumulate(b, tensor.MatMulT1(a.T, node.Grad))
+			sink(b, tensor.MatMulT1(a.T, node.Grad))
 		}
 	}
 	return node
@@ -39,9 +39,10 @@ func BatchMatMul(a, b *Value) *Value {
 					bi := sliceBatch(b.T, i, k, n)
 					gi := tensor.MatMulT2(dC, bi)
 					copy(ga.Data()[i*m*k:(i+1)*m*k], gi.Data())
+					gi.Release()
 				}
 			})
-			accumulate(a, ga)
+			sink(a, ga)
 		}
 		if b.requiresGrad {
 			gb := tensor.New(b.T.Shape()...)
@@ -51,9 +52,10 @@ func BatchMatMul(a, b *Value) *Value {
 					ai := sliceBatch(a.T, i, m, k)
 					gi := tensor.MatMulT1(ai, dC)
 					copy(gb.Data()[i*k*n:(i+1)*k*n], gi.Data())
+					gi.Release()
 				}
 			})
-			accumulate(b, gb)
+			sink(b, gb)
 		}
 	}
 	return node

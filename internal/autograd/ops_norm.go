@@ -16,7 +16,8 @@ func LayerNorm(x, gamma, beta *Value, eps float64) (*Value, error) {
 	}
 	rows := x.T.Size() / d
 	out := tensor.New(x.T.Shape()...)
-	xhat := make([]float64, x.T.Size())
+	xhatT := tensor.New(x.T.Shape()...)
+	xhat := xhatT.Data()
 	invStd := make([]float64, rows)
 	xd, od := x.T.Data(), out.Data()
 	gd, bd := gamma.T.Data(), beta.T.Data()
@@ -41,6 +42,7 @@ func LayerNorm(x, gamma, beta *Value, eps float64) (*Value, error) {
 		}
 	}
 	node := newNode(out, "layernorm", nil, x, gamma, beta)
+	node.scratch = []*tensor.Tensor{xhatT}
 	node.back = func() {
 		ng := node.Grad.Data()
 		if gamma.requiresGrad {
@@ -50,7 +52,7 @@ func LayerNorm(x, gamma, beta *Value, eps float64) (*Value, error) {
 					gg.Data()[i] += ng[r*d+i] * xhat[r*d+i]
 				}
 			}
-			accumulate(gamma, gg)
+			sink(gamma, gg)
 		}
 		if beta.requiresGrad {
 			gb := tensor.New(d)
@@ -59,7 +61,7 @@ func LayerNorm(x, gamma, beta *Value, eps float64) (*Value, error) {
 					gb.Data()[i] += ng[r*d+i]
 				}
 			}
-			accumulate(beta, gb)
+			sink(beta, gb)
 		}
 		if x.requiresGrad {
 			gx := tensor.New(x.T.Shape()...)
@@ -80,7 +82,7 @@ func LayerNorm(x, gamma, beta *Value, eps float64) (*Value, error) {
 					gxd[r*d+i] = is * (dxh - sumDxhat/df - xhat[r*d+i]*sumDxhatXhat/df)
 				}
 			}
-			accumulate(x, gx)
+			sink(x, gx)
 		}
 	}
 	return node, nil
@@ -150,7 +152,8 @@ func BatchNorm2D(x, gamma, beta *Value, stats *BatchNormStats, training bool) (*
 		invStd[ch] = 1 / math.Sqrt(variance[ch]+stats.Eps)
 	}
 	out := tensor.New(x.T.Shape()...)
-	xhat := make([]float64, x.T.Size())
+	xhatT := tensor.New(x.T.Shape()...)
+	xhat := xhatT.Data()
 	od := out.Data()
 	gd, bd := gamma.T.Data(), beta.T.Data()
 	for b := 0; b < bs; b++ {
@@ -165,6 +168,7 @@ func BatchNorm2D(x, gamma, beta *Value, stats *BatchNormStats, training bool) (*
 	}
 
 	node := newNode(out, "batchnorm2d", nil, x, gamma, beta)
+	node.scratch = []*tensor.Tensor{xhatT}
 	node.back = func() {
 		ng := node.Grad.Data()
 		if gamma.requiresGrad {
@@ -179,7 +183,7 @@ func BatchNorm2D(x, gamma, beta *Value, stats *BatchNormStats, training bool) (*
 					gg.Data()[ch] += s
 				}
 			}
-			accumulate(gamma, gg)
+			sink(gamma, gg)
 		}
 		if beta.requiresGrad {
 			gb := tensor.New(c)
@@ -193,7 +197,7 @@ func BatchNorm2D(x, gamma, beta *Value, stats *BatchNormStats, training bool) (*
 					gb.Data()[ch] += s
 				}
 			}
-			accumulate(beta, gb)
+			sink(beta, gb)
 		}
 		if x.requiresGrad {
 			gx := tensor.New(x.T.Shape()...)
@@ -209,7 +213,7 @@ func BatchNorm2D(x, gamma, beta *Value, stats *BatchNormStats, training bool) (*
 						}
 					}
 				}
-				accumulate(x, gx)
+				sink(x, gx)
 				return
 			}
 			nf := float64(n)
@@ -232,7 +236,7 @@ func BatchNorm2D(x, gamma, beta *Value, stats *BatchNormStats, training bool) (*
 					}
 				}
 			}
-			accumulate(x, gx)
+			sink(x, gx)
 		}
 	}
 	return node, nil

@@ -6,7 +6,8 @@ import (
 	"reffil/internal/tensor"
 )
 
-// Reshape returns a view of a with a new shape (sizes must match).
+// Reshape returns a copy of a with a new shape (sizes must match). The
+// result owns its storage, so Release can free it without touching a's.
 func Reshape(a *Value, shape ...int) *Value {
 	out := a.T.Clone().Reshape(shape...)
 	node := newNode(out, "reshape", nil, a)
@@ -25,7 +26,7 @@ func Permute(a *Value, perm ...int) *Value {
 		inverse[p] = i
 	}
 	node.back = func() {
-		accumulate(a, tensor.Permute(node.Grad, inverse...))
+		sink(a, tensor.Permute(node.Grad, inverse...))
 	}
 	return node
 }
@@ -46,7 +47,7 @@ func Concat(axis int, vs ...*Value) *Value {
 		for _, v := range vs {
 			width := v.T.Dim(axis)
 			if v.requiresGrad {
-				accumulate(v, tensor.Narrow(node.Grad, axis, off, off+width))
+				sink(v, tensor.Narrow(node.Grad, axis, off, off+width))
 			}
 			off += width
 		}
@@ -61,7 +62,7 @@ func Narrow(a *Value, axis, start, end int) *Value {
 	node.back = func() {
 		g := tensor.New(a.T.Shape()...)
 		tensor.NarrowAddInPlace(g, axis, start, node.Grad)
-		accumulate(a, g)
+		sink(a, g)
 	}
 	return node
 }
@@ -77,8 +78,9 @@ func Stack(vs ...*Value) *Value {
 	node.back = func() {
 		for i, v := range vs {
 			if v.requiresGrad {
-				g := tensor.Narrow(node.Grad, 0, i, i+1).Reshape(v.T.Shape()...)
-				accumulate(v, g)
+				g := tensor.Narrow(node.Grad, 0, i, i+1)
+				accumulate(v, g.Reshape(v.T.Shape()...))
+				g.Release()
 			}
 		}
 	}
@@ -110,7 +112,7 @@ func BroadcastBatch(a *Value, b int) *Value {
 				gd[j] += src[i*per+j]
 			}
 		}
-		accumulate(a, g)
+		sink(a, g)
 	}
 	return node
 }
@@ -133,7 +135,7 @@ func Embedding(table *Value, ids []int) *Value {
 				dst[j] += v
 			}
 		}
-		accumulate(table, g)
+		sink(table, g)
 	}
 	return node
 }

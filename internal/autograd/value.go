@@ -8,6 +8,10 @@
 // attention building blocks, fused classification/distillation/contrastive
 // losses, and embedding lookups. Every op's backward pass is validated
 // against finite differences in the package tests (see GradCheck).
+//
+// A tape's storage is recycled explicitly: once a training step has read
+// everything it needs from its tape, Release hands every interior node's
+// tensors back to the tensor free list for the next step to reuse.
 package autograd
 
 import (
@@ -30,6 +34,12 @@ type Value struct {
 	// back propagates this node's Grad into its parents' Grads.
 	back func()
 	op   string
+	// scratch holds the tensors back reads besides T and Grad (im2col
+	// columns, normalized activations, softmax probabilities); Release
+	// frees them with the node.
+	scratch []*tensor.Tensor
+	// released marks a node whose storage Release has handed back.
+	released bool
 }
 
 // NewLeaf wraps a tensor as a tape leaf. Pass requiresGrad=true for
@@ -91,12 +101,65 @@ func newNode(t *tensor.Tensor, op string, back func(), parents ...*Value) *Value
 	return v
 }
 
-// accumulate adds g into p.Grad when p participates in backprop.
+// accumulate adds g into p.Grad when p participates in backprop; g is only
+// read. On p's first touch the gradient is a fresh buffer holding g[i] + 0,
+// written in one pass: exactly the bits of a zero-filled buffer plus g
+// (IEEE addition commutes, so a -0 element becomes +0 either way), without
+// the clearing pass.
 func accumulate(p *Value, g *tensor.Tensor) {
 	if p == nil || !p.requiresGrad {
 		return
 	}
-	p.EnsureGrad().AddInPlace(g)
+	if p.Grad == nil {
+		p.Grad = tensor.AddScalar(g, 0)
+		return
+	}
+	p.Grad.AddInPlace(g)
+}
+
+// sink is accumulate for a backward temporary g that no one else holds: it
+// consumes g. On p's first touch g itself becomes the gradient after the
+// in-place 0 + g[i] pass that gives accumulate's bits; otherwise g is added
+// and released.
+func sink(p *Value, g *tensor.Tensor) {
+	if p != nil && p.requiresGrad && p.Grad == nil && g.SameShape(p.T) {
+		d := g.Data()
+		for i, v := range d {
+			d[i] = 0 + v
+		}
+		p.Grad = g
+		return
+	}
+	accumulate(p, g)
+	g.Release()
+}
+
+// Release hands the storage of every interior node reachable from the
+// roots back to the tensor free list: each node's forward result T, its
+// gradient Grad and the scratch its backward pass captured. Leaves
+// (parameters and data) keep their storage and gradients. Call it once the
+// step's last read of the tape is done, with every root whose nodes the
+// step built (a node reachable from several roots is released once). Any
+// later read of a released node's T or Grad panics.
+func Release(roots ...*Value) {
+	stack := append([]*Value(nil), roots...)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if n == nil || n.released || n.op == "leaf" {
+			continue
+		}
+		n.released = true
+		n.T.Release()
+		if n.Grad != nil {
+			n.Grad.Release()
+		}
+		for _, s := range n.scratch {
+			s.Release()
+		}
+		stack = append(stack, n.parents...)
+		n.parents, n.back, n.scratch = nil, nil, nil
+	}
 }
 
 // Backward runs reverse-mode differentiation from root, which must hold a

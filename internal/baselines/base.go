@@ -42,6 +42,9 @@ func DefaultHyper() TrainHyper {
 
 // localSGD runs the standard local-training loop: Epochs passes of
 // shuffled minibatches, where lossFn builds the method's loss for a batch.
+// Each step's tape is released once the optimizer has stepped, so the next
+// step reuses its buffers; lossFn must release any tape it builds that the
+// loss does not reach.
 func localSGD(ctx *fl.LocalContext, params []nn.Param, hy TrainHyper,
 	lossFn func(b data.Batch) (*autograd.Value, error)) error {
 	sgd, err := opt.NewSGD(params, ctx.LR, hy.Momentum, hy.WeightDecay)
@@ -66,6 +69,7 @@ func localSGD(ctx *fl.LocalContext, params []nn.Param, hy TrainHyper,
 				opt.ClipGradNorm(params, hy.ClipNorm)
 			}
 			sgd.Step()
+			autograd.Release(loss)
 		}
 	}
 	return nil

@@ -192,7 +192,7 @@ func (f *FedDualPrompt) Predict(x *tensor.Tensor) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	prompts, _, err := f.assemble(tokens, nil, false)
+	prompts, pull, err := f.assemble(tokens, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +204,9 @@ func (f *FedDualPrompt) Predict(x *tensor.Tensor) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tensor.ArgmaxRows(logits.T), nil
+	pred := tensor.ArgmaxRows(logits.T)
+	autograd.Release(logits, pull)
+	return pred, nil
 }
 
 var _ fl.Algorithm = (*FedDualPrompt)(nil)

@@ -102,6 +102,7 @@ func (f *FedEWC) OnTaskEnd(task int, sample *data.Dataset) error {
 		if err := autograd.Backward(loss); err != nil {
 			return err
 		}
+		autograd.Release(loss)
 		for _, p := range params {
 			if p.Value.Grad == nil {
 				continue
@@ -138,6 +139,13 @@ func (f *FedEWC) OnTaskEnd(task int, sample *data.Dataset) error {
 // LocalTrain implements fl.Algorithm.
 func (f *FedEWC) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 	params := f.backbone.Params()
+	// The penalty weights λ·F are fixed for the whole local run.
+	weights := make(map[string]*tensor.Tensor, len(f.fisher))
+	for _, p := range params {
+		if fi, ok := f.fisher[p.Name]; ok {
+			weights[p.Name] = tensor.Scale(fi, f.Lambda)
+		}
+	}
 	nnCtx := &nn.Ctx{Train: true}
 	err := localSGD(ctx, params, f.hyper, func(b data.Batch) (*autograd.Value, error) {
 		logits, err := f.backbone.Forward(nnCtx, autograd.Constant(b.X), nil)
@@ -148,19 +156,16 @@ func (f *FedEWC) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 		if err != nil {
 			return nil, err
 		}
-		if f.fisher != nil {
-			for _, p := range params {
-				fi, ok := f.fisher[p.Name]
-				if !ok {
-					continue
-				}
-				w := tensor.Scale(fi, f.Lambda)
-				pen, err := autograd.L2Penalty(p.Value, w, f.ref[p.Name])
-				if err != nil {
-					return nil, err
-				}
-				loss = autograd.Add(loss, pen)
+		for _, p := range params {
+			w, ok := weights[p.Name]
+			if !ok {
+				continue
 			}
+			pen, err := autograd.L2Penalty(p.Value, w, f.ref[p.Name])
+			if err != nil {
+				return nil, err
+			}
+			loss = autograd.Add(loss, pen)
 		}
 		return loss, nil
 	})

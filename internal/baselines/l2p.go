@@ -187,7 +187,7 @@ func (f *FedL2P) Predict(x *tensor.Tensor) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	prompts, _, err := f.promptsFor(tokens)
+	prompts, pull, err := f.promptsFor(tokens)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +199,9 @@ func (f *FedL2P) Predict(x *tensor.Tensor) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tensor.ArgmaxRows(logits.T), nil
+	pred := tensor.ArgmaxRows(logits.T)
+	autograd.Release(logits, pull)
+	return pred, nil
 }
 
 var _ fl.Algorithm = (*FedL2P)(nil)

@@ -90,6 +90,8 @@ func (f *FedLwF) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 			if err != nil {
 				return nil, err
 			}
+			// DistillLoss keeps only the teacher's softened copy.
+			autograd.Release(tLogits)
 			loss = autograd.Add(loss, autograd.Scale(kd, f.Lambda))
 		}
 		return loss, nil

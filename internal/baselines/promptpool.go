@@ -57,7 +57,9 @@ func (p *promptPool) clone() *promptPool {
 // the query comes from a frozen feature path.
 func meanPatchQuery(tokens *autograd.Value) *tensor.Tensor {
 	patches := tensor.Narrow(tokens.T, 1, 1, tokens.T.Dim(1))
-	return tensor.MeanAxis(patches, 1, false)
+	q := tensor.MeanAxis(patches, 1, false)
+	patches.Release()
+	return q
 }
 
 // selectTop returns, per query row, the topN slot indices by cosine

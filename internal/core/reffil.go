@@ -321,6 +321,9 @@ func (r *RefFiL) LocalTrain(ctx *fl.LocalContext) (fl.Upload, error) {
 					acc.add(y, u.T.Data()[i*d:(i+1)*d])
 				}
 			}
+			// That was the step's last read of its tape; u is a root of
+			// its own when DPCL does not reach it from the loss.
+			autograd.Release(loss, u)
 		}
 	}
 	if acc == nil {
@@ -376,7 +379,9 @@ func (r *RefFiL) Predict(x *tensor.Tensor) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tensor.ArgmaxRows(logits.T), nil
+	pred := tensor.ArgmaxRows(logits.T)
+	autograd.Release(logits)
+	return pred, nil
 }
 
 // wireState is RefFiL's gob-encoded server-side state beyond Global():

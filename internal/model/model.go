@@ -189,7 +189,9 @@ func (b *Backbone) Predict(x *tensor.Tensor, sharedPrompts *tensor.Tensor) ([]in
 	if err != nil {
 		return nil, err
 	}
-	return tensor.ArgmaxRows(logits.T), nil
+	pred := tensor.ArgmaxRows(logits.T)
+	autograd.Release(logits)
+	return pred, nil
 }
 
 // Params implements nn.Module over the whole backbone.

@@ -48,28 +48,44 @@ func (s *SGD) LR() float64 { return s.lr }
 func (s *SGD) SetLR(lr float64) { s.lr = lr }
 
 // Step applies one update using the gradients accumulated on the parameters.
-// Parameters with no gradient are skipped.
+// Parameters with no gradient are skipped. The update is one fused pass per
+// parameter that allocates nothing (after a parameter's first velocity) and
+// keeps the per-element operation order of the textbook three-pass form:
+//
+//	g' = g + wd·w;  v = v·μ + g';  w += -lr·v   (w += -lr·g' without momentum)
 func (s *SGD) Step() {
 	for i, p := range s.params {
-		g := p.Value.Grad
-		if g == nil {
+		if p.Value.Grad == nil {
 			continue
 		}
-		w := p.Value.T
-		if s.weightDecay > 0 {
-			g = g.Clone()
-			g.AddScaledInPlace(s.weightDecay, w)
-		}
-		if s.momentum > 0 {
+		w := p.Value.T.Data()
+		g := p.Value.Grad.Data()
+		wd, mu, step := s.weightDecay, s.momentum, -s.lr
+		if mu > 0 {
 			if s.velocity[i] == nil {
-				s.velocity[i] = tensor.New(w.Shape()...)
+				s.velocity[i] = tensor.New(p.Value.T.Shape()...)
 			}
-			v := s.velocity[i]
-			v.ScaleInPlace(s.momentum)
-			v.AddInPlace(g)
-			g = v
+			v := s.velocity[i].Data()
+			for j := range w {
+				gj := g[j]
+				if wd > 0 {
+					gj += wd * w[j]
+				}
+				// The explicit conversion rounds v·μ on its own, as the
+				// separate scaling pass did, so it cannot fuse with the add.
+				vj := float64(v[j]*mu) + gj
+				v[j] = vj
+				w[j] += step * vj
+			}
+			continue
 		}
-		w.AddScaledInPlace(-s.lr, g)
+		for j := range w {
+			gj := g[j]
+			if wd > 0 {
+				gj += wd * w[j]
+			}
+			w[j] += step * gj
+		}
 	}
 }
 

@@ -206,3 +206,59 @@ func TestSGDTrainsTinyNetwork(t *testing.T) {
 		t.Fatalf("training loss did not decrease: %v -> %v", first, last)
 	}
 }
+
+// TestSGDStepMatchesUnfusedBits pins the fused update to the bits of the
+// textbook three-pass form it replaced (copy g, add wd·w, scale and add
+// the velocity, then w += -lr·v), over every momentum/weight-decay mix and
+// inputs that include -0 gradients.
+func TestSGDStepMatchesUnfusedBits(t *testing.T) {
+	reference := func(w, g, v *tensor.Tensor, lr, mom, wd float64) {
+		if wd > 0 {
+			g = g.Clone()
+			g.AddScaledInPlace(wd, w)
+		}
+		if mom > 0 {
+			v.ScaleInPlace(mom)
+			v.AddInPlace(g)
+			g = v
+		}
+		w.AddScaledInPlace(-lr, g)
+	}
+	for _, hp := range []struct{ mom, wd float64 }{{0, 0}, {0.9, 0}, {0, 1e-4}, {0.9, 1e-4}} {
+		rng := rand.New(rand.NewSource(8))
+		shape := []int{3, 7}
+		p := autograd.Param(tensor.RandN(rng, 1, shape...))
+		ref := p.T.Clone()
+		refV := tensor.New(shape...)
+		sgd, err := NewSGD([]nn.Param{{Name: "p", Value: p}}, 0.05, hp.mom, hp.wd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 5; step++ {
+			g := tensor.RandN(rng, 1, shape...)
+			g.Data()[step] = math.Copysign(0, -1)
+			p.Grad = g.Clone()
+			sgd.Step()
+			reference(ref, g, refV, 0.05, hp.mom, hp.wd)
+			for i, got := range p.T.Data() {
+				if math.Float64bits(got) != math.Float64bits(ref.Data()[i]) {
+					t.Fatalf("mom=%v wd=%v step %d element %d: %v, want %v", hp.mom, hp.wd, step, i, got, ref.Data()[i])
+				}
+			}
+		}
+	}
+}
+
+func TestSGDStepAllocatesNothingWhenWarm(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	p := autograd.Param(tensor.RandN(rng, 1, 16, 16))
+	p.Grad = tensor.RandN(rng, 1, 16, 16)
+	sgd, err := NewSGD([]nn.Param{{Name: "p", Value: p}}, 0.01, 0.9, 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sgd.Step() // allocates the velocity
+	if allocs := testing.AllocsPerRun(20, sgd.Step); allocs != 0 {
+		t.Fatalf("warm SGD step: %v allocs, want 0", allocs)
+	}
+}

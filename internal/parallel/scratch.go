@@ -34,8 +34,22 @@ func (p *ScratchPool[T]) Get(n int) *[]T {
 	return b
 }
 
-// Put returns a buffer obtained from Get to the pool. The caller must not
-// use the slice afterwards.
+// Recycled is Get without the allocation: it returns a pooled buffer
+// resliced to length n, or nil when the pool holds none with capacity n. A
+// caller that allocates its own buffers on a miss uses it, and knows that a
+// non-nil result holds stale contents.
+func (p *ScratchPool[T]) Recycled(n int) *[]T {
+	b, _ := p.pool.Get().(*[]T)
+	if b == nil || cap(*b) < n {
+		return nil
+	}
+	*b = (*b)[:n]
+	return b
+}
+
+// Put returns a buffer to the pool: one obtained from Get or Recycled, or a
+// caller-allocated one of the same kind. The caller must not use the slice
+// afterwards.
 func (p *ScratchPool[T]) Put(b *[]T) {
 	p.pool.Put(b)
 }

@@ -166,7 +166,7 @@ func TestMatVecParallelMatchesSerial(t *testing.T) {
 }
 
 // TestMatMulSteadyStateAllocs pins the zero-scratch steady state of the
-// blocked MatMul: once matmulPanels is warm, a call allocates only the
+// blocked MatMul: once the free list is warm, a call allocates only the
 // output tensor and the two closure headers internal/parallel fan-out
 // needs — never the k×n packing panel (a fresh copy of B per call before
 // this PR). GOMAXPROCS is pinned to 1 so helper-goroutine bookkeeping

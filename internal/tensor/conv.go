@@ -67,6 +67,15 @@ func (g ConvGeom) Im2col(img []float64, cols []float64) {
 	}
 }
 
+// Unfold returns Im2col of a single image (C,H,W laid out contiguously in
+// img) as a new (C*KH*KW, OutH*OutW) tensor. Im2col writes every element, so
+// the storage skips the zero fill.
+func (g ConvGeom) Unfold(img []float64) *Tensor {
+	cols := empty(g.InC*g.KH*g.KW, g.OutH*g.OutW)
+	g.Im2col(img, cols.data)
+	return cols
+}
+
 // Col2im folds a column matrix (C*KH*KW, OutH*OutW) back into image
 // gradients, accumulating overlapping contributions into img (C,H,W).
 // img is expected to be zeroed by the caller when a fresh gradient is wanted.

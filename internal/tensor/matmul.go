@@ -27,38 +27,57 @@ const minChunkOps = parallel.DefaultChunkOps
 // staying wide enough that the per-tile loop overhead is noise.
 const blockJ = 128
 
-// matmulPanels pools the packed B panels of the blocked kernels so steady
-// state matmul performs no scratch allocations.
-var matmulPanels parallel.ScratchPool[float64]
-
 // MatMul multiplies two 2-D tensors: (m,k) x (k,n) -> (m,n).
 func MatMul(a, b *Tensor) *Tensor {
-	if a.NDim() != 2 || b.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul needs 2-D operands, got %v and %v", a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
+	m, n := matMulDims("MatMul", a, b)
 	out := New(m, n)
+	matMulAdd(out.data, a, b)
+	return out
+}
+
+// MatMulAdd accumulates a·b into dst: dst (m,n) += a (m,k) x b (k,n). Every
+// element adds its products in MatMul's order, so on a zero-filled dst the
+// result is MatMul's bit for bit; callers use it to write a product straight
+// into a slice of a larger tensor.
+func MatMulAdd(dst, a, b *Tensor) {
+	m, n := matMulDims("MatMulAdd", a, b)
+	if dst.NDim() != 2 || dst.shape[0] != m || dst.shape[1] != n {
+		panic(fmt.Sprintf("tensor: MatMulAdd destination %v, want [%d %d]", dst.shape, m, n))
+	}
+	matMulAdd(dst.data, a, b)
+}
+
+// matMulDims validates the operands of a 2-D product and returns (m, n).
+func matMulDims(op string, a, b *Tensor) (m, n int) {
+	if a.NDim() != 2 || b.NDim() != 2 {
+		panic(fmt.Sprintf("tensor: %s needs 2-D operands, got %v and %v", op, a.shape, b.shape))
+	}
+	if a.shape[1] != b.shape[0] {
+		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v x %v", op, a.shape, b.shape))
+	}
+	return a.shape[0], b.shape[1]
+}
+
+// matMulAdd accumulates a·b into c, fanning the rows out over
+// internal/parallel.
+func matMulAdd(c []float64, a, b *Tensor) {
+	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	grain := parallel.GrainForCost(2*k*n, minChunkOps)
 	if n <= blockJ {
 		// One tile: packing would be a pure extra pass over B, and the
 		// unpacked kernel already streams B rows sequentially.
 		parallel.For(m, grain, func(lo, hi int) {
-			matmulRows(out.data, a.data, b.data, lo, hi, k, n)
+			matmulRows(c, a.data, b.data, lo, hi, k, n)
 		})
-		return out
+		return
 	}
-	pb := matmulPanels.Get(k * n)
+	pb := getBuf(k * n)
 	panels := *pb
 	packPanels(panels, b.data, k, n)
 	parallel.For(m, grain, func(lo, hi int) {
-		matmulRowsBlocked(out.data, a.data, panels, lo, hi, k, n)
+		matmulRowsBlocked(c, a.data, panels, lo, hi, k, n)
 	})
-	matmulPanels.Put(pb)
-	return out
+	putBuf(pb)
 }
 
 // packPanels copies B (k,n) into j-tile-major panels: tile t holds columns
@@ -88,8 +107,8 @@ func packPanel(panels, b []float64, k, n, t int) {
 	}
 }
 
-// matmulRows computes rows [lo,hi) of C = A(m,k) * B(k,n) into c, which must
-// be zeroed. The loop order (i,p,j) streams B rows sequentially, which is
+// matmulRows accumulates rows [lo,hi) of A(m,k) * B(k,n) into c (zeroed
+// for a plain product). The loop order (i,p,j) streams B rows sequentially, which is
 // the cache friendly order for row-major storage. Each output row depends
 // only on its own A row and all of B, so disjoint row ranges are safe to
 // compute concurrently and the per-element accumulation order is identical
@@ -213,7 +232,7 @@ func MatMulT2(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulT2 inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
-	out := New(m, n)
+	out := empty(m, n)
 	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
 		for j0 := 0; j0 < n; j0 += blockJ {
 			j1 := j0 + blockJ
@@ -259,14 +278,14 @@ func BatchMatMul(a, b *Tensor) *Tensor {
 		var panels []float64
 		var pb *[]float64
 		if blocked {
-			pb = matmulPanels.Get(k * n)
+			pb = getBuf(k * n)
 			panels = *pb
 		}
 		for i := lo; i < hi; i++ {
 			matmulKernel(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], m, k, n, panels)
 		}
 		if blocked {
-			matmulPanels.Put(pb)
+			putBuf(pb)
 		}
 	})
 	return out
@@ -283,7 +302,7 @@ func MatVec(a, v *Tensor) *Tensor {
 	if v.shape[0] != k {
 		panic(fmt.Sprintf("tensor: MatVec dimension mismatch %v x %v", a.shape, v.shape))
 	}
-	out := New(m)
+	out := empty(m)
 	parallel.For(m, parallel.GrainForCost(2*k, minChunkOps), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ai := a.data[i*k : (i+1)*k]

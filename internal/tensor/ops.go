@@ -77,7 +77,7 @@ func broadcastStridesInto(dst, shape, out []int) []int {
 func binaryOp(a, b *Tensor, f func(x, y float64) float64) *Tensor {
 	// Fast path: identical shapes.
 	if a.SameShape(b) {
-		out := New(a.shape...)
+		out := empty(a.shape...)
 		for i := range out.data {
 			out.data[i] = f(a.data[i], b.data[i])
 		}
@@ -87,7 +87,7 @@ func binaryOp(a, b *Tensor, f func(x, y float64) float64) *Tensor {
 	if err != nil {
 		panic(err.Error())
 	}
-	out := New(outShape...)
+	out := empty(outShape...)
 	sc := bcPool.Get().(*bcScratch)
 	sa := broadcastStridesInto(sized(&sc.sa, len(outShape)), a.shape, outShape)
 	sb := broadcastStridesInto(sized(&sc.sb, len(outShape)), b.shape, outShape)
@@ -196,23 +196,25 @@ func (t *Tensor) ScaleInPlace(alpha float64) {
 
 // Scale returns alpha * t.
 func Scale(t *Tensor, alpha float64) *Tensor {
-	out := t.Clone()
-	out.ScaleInPlace(alpha)
+	out := empty(t.shape...)
+	for i, v := range t.data {
+		out.data[i] = v * alpha
+	}
 	return out
 }
 
 // AddScalar returns t + c.
 func AddScalar(t *Tensor, c float64) *Tensor {
-	out := t.Clone()
-	for i := range out.data {
-		out.data[i] += c
+	out := empty(t.shape...)
+	for i, v := range t.data {
+		out.data[i] = v + c
 	}
 	return out
 }
 
 // Apply returns f applied elementwise.
 func Apply(t *Tensor, f func(float64) float64) *Tensor {
-	out := New(t.shape...)
+	out := empty(t.shape...)
 	for i, v := range t.data {
 		out.data[i] = f(v)
 	}

@@ -4,8 +4,9 @@
 // kernels, reductions, and shape manipulation.
 //
 // Tensors are always contiguous in row-major (C) order. Operations return
-// freshly allocated tensors unless the method name says otherwise (e.g.
-// AddInPlace). Shape mismatches are programming errors, not runtime
+// new tensors unless the method name says otherwise (e.g. AddInPlace); their
+// storage comes from a size-keyed free list that Release refills, so a
+// training step can reuse the previous step's buffers. Shape mismatches are programming errors, not runtime
 // conditions, so kernels panic with a descriptive message rather than
 // returning errors; all exported entry points in higher-level packages
 // validate their inputs before reaching these kernels.
@@ -22,20 +23,16 @@ import (
 type Tensor struct {
 	shape []int
 	data  []float64
+	// owned marks data as a whole free-list buffer this tensor may
+	// recycle on Release (false for views and wrapped slices); buf is its
+	// header when the buffer already came through the free list.
+	owned bool
+	buf   *[]float64
 }
 
 // New returns a zero-filled tensor with the given shape. A tensor with no
 // dimensions is a scalar holding one element.
-func New(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
-		}
-		n *= d
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
-}
+func New(shape ...int) *Tensor { return newTensor(shape, true) }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly, not copied; the caller must not alias it afterwards.
@@ -57,7 +54,7 @@ func Scalar(v float64) *Tensor {
 
 // Full returns a tensor of the given shape with every element set to v.
 func Full(v float64, shape ...int) *Tensor {
-	t := New(shape...)
+	t := empty(shape...)
 	for i := range t.data {
 		t.data[i] = v
 	}
@@ -84,9 +81,9 @@ func (t *Tensor) Data() []float64 { return t.data }
 
 // Clone returns a deep copy of t.
 func (t *Tensor) Clone() *Tensor {
-	d := make([]float64, len(t.data))
-	copy(d, t.data)
-	return &Tensor{shape: append([]int(nil), t.shape...), data: d}
+	out := empty(t.shape...)
+	copy(out.data, t.data)
+	return out
 }
 
 // CopyFrom copies src's data into t. Shapes must match in total size.
