@@ -129,14 +129,18 @@ func Conv2D(x, w, b *Value, stride, pad int) (*Value, error) {
 		}
 		if x.requiresGrad {
 			gx := tensor.New(x.T.Shape()...)
+			// MatMul(wMatᵀ, dOut) is MatMulT1(wMat, dOut) bit for bit;
+			// one transpose serves every image of the batch.
+			wT := tensor.Transpose(wMat) // (k,o)
 			parallel.For(bs, imgGrain, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					dOut := tensor.FromSlice(node.Grad.Data()[i*o*p:(i+1)*o*p], o, p)
-					dCols := tensor.MatMulT1(wMat, dOut) // (k,p)
+					dCols := tensor.MatMul(wT, dOut) // (k,p)
 					geom.Col2im(dCols.Data(), gx.Data()[i*imgLen:(i+1)*imgLen])
 					dCols.Release()
 				}
 			})
+			wT.Release()
 			sink(x, gx)
 		}
 	}

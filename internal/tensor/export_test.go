@@ -2,6 +2,15 @@ package tensor
 
 import "math"
 
+// getBuf returns a free-list buffer of length n ≥ 1 with unspecified
+// contents. Pass it back with putBuf once nothing reads it.
+func getBuf(n int) *[]float64 {
+	c, capacity := sizeClass(n)
+	b := freeList[c].Get(capacity)
+	*b = (*b)[:n]
+	return b
+}
+
 // drainFreeList takes every buffer out of the free list, by class. The
 // per-P caches of sync.Pool are only all reachable from one P, so callers
 // pin GOMAXPROCS to 1 first.

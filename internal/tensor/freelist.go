@@ -8,12 +8,13 @@ import (
 )
 
 // freeList is the one source of tensor storage: New, every kernel result and
-// the kernels' own scratch (matmul packing panels) draw their buffers from
-// it, and Release hands them back. It is one parallel.ScratchPool per size
-// class, so a training step that builds the same tape shapes every time
-// reuses the previous step's buffers instead of allocating (and, for fresh
-// make()s, zeroing) new ones. The pools are safe for the concurrent client
-// replicas of the federated engine and the goroutines of parallel.For.
+// the kernels' own scratch tensors (such as MatMulT1's transpose) draw their
+// buffers from it, and Release hands them back. It is one
+// parallel.ScratchPool per size class, so a training step that builds the
+// same tape shapes every time reuses the previous step's buffers instead of
+// allocating (and, for fresh make()s, zeroing) new ones. The pools are safe
+// for the concurrent client replicas of the federated engine and the
+// goroutines of parallel.For.
 //
 // Determinism is unaffected: a recycled buffer's stale contents are never
 // read. New clears it; the kernels that skip the clear (see empty) write
@@ -39,16 +40,7 @@ func sizeClass(n int) (class, capacity int) {
 	return 8*(e-4) + m, m * step
 }
 
-// getBuf returns a free-list buffer of length n ≥ 1 with unspecified
-// contents. Pass it back with putBuf once nothing reads it.
-func getBuf(n int) *[]float64 {
-	c, capacity := sizeClass(n)
-	b := freeList[c].Get(capacity)
-	*b = (*b)[:n]
-	return b
-}
-
-// putBuf returns a buffer obtained from getBuf to the free list.
+// putBuf returns a buffer to the free list.
 func putBuf(b *[]float64) {
 	c, _ := sizeClass(cap(*b))
 	freeList[c].Put(b)

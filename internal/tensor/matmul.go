@@ -12,20 +12,16 @@ import (
 // not pay fan-out overhead.
 const minChunkOps = parallel.DefaultChunkOps
 
-// blockJ is the output-column tile width of the blocked matmul kernels. The
-// j axis is the only one that may be tiled: every output element's value is
-// a sum over the shared dimension p, and the repo's determinism contract
-// (bit-identical results at any worker count and any tiling) requires that
-// per-element summation order to stay exactly the serial kernel's ascending
-// p. Tiling j (or i) only reorders *which* independent elements are computed
-// when — never how any one element accumulates — so it is always safe.
-// Tiling p would split each element's sum into per-tile partials and change
-// the floating-point result, so no kernel here does it.
-//
-// 128 columns keep one B panel row (128×8 B = one KiB) prefetch-friendly and
-// a whole k-row panel inside L2 for the k values these models use, while
-// staying wide enough that the per-tile loop overhead is noise.
-const blockJ = 128
+// Every product in this file is computed by one of two inner kernels:
+// rowKernel (c[i][j] += a[i][p]·b[p][j], behind MatMul, MatMulAdd,
+// MatMulT1 and BatchMatMul) and dotKernel (c[i][j] = Σ a[i][p]·b[j][p],
+// behind MatMulT2 and MatVec). Both hold a small tile of outputs in local
+// accumulators across the whole shared dimension instead of reloading and
+// storing c for every p, and both keep the repo's determinism contract:
+// every output element is one float64 summed over p in ascending order, so
+// results are bit-identical at any tiling, any row chunking and any worker
+// count. Only the output axes (i, j) are ever tiled; splitting p would
+// reassociate the sums and change the bits.
 
 // MatMul multiplies two 2-D tensors: (m,k) x (k,n) -> (m,n).
 func MatMul(a, b *Tensor) *Tensor {
@@ -62,167 +58,161 @@ func matMulDims(op string, a, b *Tensor) (m, n int) {
 // internal/parallel.
 func matMulAdd(c []float64, a, b *Tensor) {
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
-	grain := parallel.GrainForCost(2*k*n, minChunkOps)
-	if n <= blockJ {
-		// One tile: packing would be a pure extra pass over B, and the
-		// unpacked kernel already streams B rows sequentially.
-		parallel.For(m, grain, func(lo, hi int) {
-			matmulRows(c, a.data, b.data, lo, hi, k, n)
-		})
-		return
-	}
-	pb := getBuf(k * n)
-	panels := *pb
-	packPanels(panels, b.data, k, n)
-	parallel.For(m, grain, func(lo, hi int) {
-		matmulRowsBlocked(c, a.data, panels, lo, hi, k, n)
-	})
-	putBuf(pb)
-}
-
-// packPanels copies B (k,n) into j-tile-major panels: tile t holds columns
-// [t*blockJ, t*blockJ+tw) as k contiguous rows of width tw at panel offset
-// t*blockJ*k. Only the last tile may be ragged, so the offsets line up and
-// the whole packing is exactly k*n floats. Tiles are independent, so the
-// copy fans out over internal/parallel.
-func packPanels(panels, b []float64, k, n int) {
-	nt := (n + blockJ - 1) / blockJ
-	parallel.For(nt, parallel.GrainForCost(k*blockJ, minChunkOps), func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			packPanel(panels, b, k, n, t)
-		}
+	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
+		rowKernel(c, a.data, b.data, lo, hi, k, n)
 	})
 }
 
-// packPanel packs tile t of B (k,n); see packPanels for the layout.
-func packPanel(panels, b []float64, k, n, t int) {
-	j0 := t * blockJ
-	tw := n - j0
-	if tw > blockJ {
-		tw = blockJ
-	}
-	dst := panels[j0*k : j0*k+k*tw]
-	for p := 0; p < k; p++ {
-		copy(dst[p*tw:(p+1)*tw], b[p*n+j0:p*n+j0+tw])
-	}
-}
-
-// matmulRows accumulates rows [lo,hi) of A(m,k) * B(k,n) into c (zeroed
-// for a plain product). The loop order (i,p,j) streams B rows sequentially, which is
-// the cache friendly order for row-major storage. Each output row depends
-// only on its own A row and all of B, so disjoint row ranges are safe to
-// compute concurrently and the per-element accumulation order is identical
-// at any chunking.
-func matmulRows(c, a, b []float64, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		ci := c[i*n : (i+1)*n]
-		ai := a[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			av := ai[p]
-			//fedvet:ignore floatbits exact zero-skip: the guard is a pure function of the operand bits, so skipping zero contributions is deterministic
-			if av == 0 {
-				continue
+// rowKernel accumulates rows [lo,hi) of A(m,k)·B(k,n) into c:
+// c[i][j] += a[i][p]·b[p][j] for p ascending, skipping every a[i][p] == 0
+// (the skip is a pure function of the operand bits; it changes a result only
+// where the skipped product would be NaN, or where c holds −0). Outputs are
+// computed in 2-row × 4-column register tiles: per p, two A values and four
+// B values feed eight independent accumulators. Rows and columns left over
+// from full tiles run through narrower copies of the same loop. Each output
+// row depends only on its own A row and all of B, so disjoint row ranges
+// are safe to compute concurrently.
+func rowKernel(c, a, b []float64, lo, hi, k, n int) {
+	i := lo
+	for ; i+2 <= hi; i += 2 {
+		a0 := a[i*k : (i+1)*k]
+		a1 := a[(i+1)*k : (i+2)*k]
+		a1 = a1[:len(a0)] // lets the compiler drop a1[p]'s bounds check
+		c0 := c[i*n : (i+1)*n]
+		c1 := c[(i+1)*n : (i+2)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			c00, c01, c02, c03 := c0[j], c0[j+1], c0[j+2], c0[j+3]
+			c10, c11, c12, c13 := c1[j], c1[j+1], c1[j+2], c1[j+3]
+			off := j
+			for p, x0 := range a0 {
+				x1 := a1[p]
+				bp := b[off : off+4 : off+4]
+				off += n
+				//fedvet:ignore floatbits exact zero-skip, a pure function of the operand bits
+				if x0 != 0 {
+					c00 += x0 * bp[0]
+					c01 += x0 * bp[1]
+					c02 += x0 * bp[2]
+					c03 += x0 * bp[3]
+				}
+				//fedvet:ignore floatbits exact zero-skip, a pure function of the operand bits
+				if x1 != 0 {
+					c10 += x1 * bp[0]
+					c11 += x1 * bp[1]
+					c12 += x1 * bp[2]
+					c13 += x1 * bp[3]
+				}
 			}
-			bp := b[p*n : (p+1)*n]
-			for j := range bp {
-				ci[j] += av * bp[j]
+			c0[j], c0[j+1], c0[j+2], c0[j+3] = c00, c01, c02, c03
+			c1[j], c1[j+1], c1[j+2], c1[j+3] = c10, c11, c12, c13
+		}
+		for ; j < n; j++ {
+			s0, s1 := c0[j], c1[j]
+			for p, x0 := range a0 {
+				bv := b[p*n+j]
+				//fedvet:ignore floatbits exact zero-skip, a pure function of the operand bits
+				if x0 != 0 {
+					s0 += x0 * bv
+				}
+				//fedvet:ignore floatbits exact zero-skip, a pure function of the operand bits
+				if x1 := a1[p]; x1 != 0 {
+					s1 += x1 * bv
+				}
 			}
+			c0[j], c1[j] = s0, s1
 		}
 	}
-}
-
-// matmulRowsBlocked is matmulRows over B pre-packed into blockJ-wide panels
-// (see packPanels). Processing one panel across all rows of the chunk keeps
-// the panel (k*blockJ floats) resident in cache instead of re-streaming all
-// of B once per output row. The inner accumulation is unchanged: for every
-// output element, p ascends 0..k-1 with the same zero-skip as matmulRows, so
-// results are bit-identical to the unblocked kernel.
-func matmulRowsBlocked(c, a, panels []float64, lo, hi, k, n int) {
-	for j0 := 0; j0 < n; j0 += blockJ {
-		tw := n - j0
-		if tw > blockJ {
-			tw = blockJ
-		}
-		panel := panels[j0*k : j0*k+k*tw]
-		for i := lo; i < hi; i++ {
-			ci := c[i*n+j0 : i*n+j0+tw]
-			ai := a[i*k : (i+1)*k]
-			for p := 0; p < k; p++ {
-				av := ai[p]
-				//fedvet:ignore floatbits exact zero-skip: the guard is a pure function of the operand bits, so skipping zero contributions is deterministic
-				if av == 0 {
+	if i < hi {
+		a0 := a[i*k : (i+1)*k]
+		c0 := c[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			c00, c01, c02, c03 := c0[j], c0[j+1], c0[j+2], c0[j+3]
+			for p, x0 := range a0 {
+				//fedvet:ignore floatbits exact zero-skip, a pure function of the operand bits
+				if x0 == 0 {
 					continue
 				}
-				bp := panel[p*tw : (p+1)*tw]
-				for j, bv := range bp {
-					ci[j] += av * bv
+				bp := b[p*n+j : p*n+j+4 : p*n+j+4]
+				c00 += x0 * bp[0]
+				c01 += x0 * bp[1]
+				c02 += x0 * bp[2]
+				c03 += x0 * bp[3]
+			}
+			c0[j], c0[j+1], c0[j+2], c0[j+3] = c00, c01, c02, c03
+		}
+		for ; j < n; j++ {
+			s0 := c0[j]
+			for p, x0 := range a0 {
+				//fedvet:ignore floatbits exact zero-skip, a pure function of the operand bits
+				if x0 != 0 {
+					s0 += x0 * b[p*n+j]
 				}
 			}
+			c0[j] = s0
 		}
 	}
 }
 
-// matmulKernel computes the full C = A(m,k) * B(k,n) serially into c, which
-// must be zeroed, using panels as packing scratch when the width calls for
-// the blocked kernel (batched callers parallelize over the batch axis
-// instead and pass a reusable panel buffer).
-func matmulKernel(c, a, b []float64, m, k, n int, panels []float64) {
-	if n <= blockJ {
-		matmulRows(c, a, b, 0, m, k, n)
-		return
+// dotKernel writes rows [lo,hi) of A(m,k)·Bᵀ for B (n,k) into c:
+// c[i][j] = Σ a[i][p]·b[j][p], each sum starting at +0 and running over p
+// in ascending order with no skip. Per A row, four B rows feed four
+// independent accumulators, so the four dot products overlap instead of
+// forming one dependent add chain; columns beyond the last full group of
+// four run one at a time.
+func dotKernel(c, a, b []float64, lo, hi, k, n int) {
+	for i := lo; i < hi; i++ {
+		ai := a[i*k : (i+1)*k]
+		ci := c[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b[j*k : (j+1)*k]
+			b1 := b[(j+1)*k : (j+2)*k]
+			b2 := b[(j+2)*k : (j+3)*k]
+			b3 := b[(j+3)*k : (j+4)*k]
+			// Same lengths as ai, so the loop needs no bounds checks.
+			b0, b1, b2, b3 = b0[:len(ai)], b1[:len(ai)], b2[:len(ai)], b3[:len(ai)]
+			s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+			for p, x := range ai {
+				s0 += x * b0[p]
+				s1 += x * b1[p]
+				s2 += x * b2[p]
+				s3 += x * b3[p]
+			}
+			ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			bj := b[j*k : (j+1)*k]
+			bj = bj[:len(ai)]
+			s := 0.0
+			for p, x := range ai {
+				s += x * bj[p]
+			}
+			ci[j] = s
+		}
 	}
-	for t := 0; t < (n+blockJ-1)/blockJ; t++ {
-		packPanel(panels, b, k, n, t)
-	}
-	matmulRowsBlocked(c, a, panels, 0, m, k, n)
 }
 
-// MatMulT1 computes aᵀ·b for a (k,m) and b (k,n) -> (m,n) without
-// materializing the transpose. Output rows are partitioned across workers
-// and the output columns are tiled blockJ wide; within a tile the
-// shared-dimension loop stays outermost so B rows stream sequentially, the
-// output tile stays cache-resident across the whole p sweep, and the
-// accumulation order per element matches the serial kernel exactly.
+// MatMulT1 computes aᵀ·b for a (k,m) and b (k,n) -> (m,n). It is exactly
+// MatMul(Transpose(a), b) — the same products summed in the same order —
+// and is implemented as that, with the transpose on free-list storage.
 func MatMulT1(a, b *Tensor) *Tensor {
 	if a.NDim() != 2 || b.NDim() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulT1 needs 2-D operands, got %v and %v", a.shape, b.shape))
 	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
+	if a.shape[0] != b.shape[0] {
 		panic(fmt.Sprintf("tensor: MatMulT1 inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
-	out := New(m, n)
-	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
-		for j0 := 0; j0 < n; j0 += blockJ {
-			tw := n - j0
-			if tw > blockJ {
-				tw = blockJ
-			}
-			for p := 0; p < k; p++ {
-				ap := a.data[p*m : (p+1)*m]
-				bp := b.data[p*n+j0 : p*n+j0+tw]
-				for i := lo; i < hi; i++ {
-					av := ap[i]
-					//fedvet:ignore floatbits exact zero-skip: the guard is a pure function of the operand bits, so skipping zero contributions is deterministic
-					if av == 0 {
-						continue
-					}
-					ci := out.data[i*n+j0 : i*n+j0+tw]
-					for j, bv := range bp {
-						ci[j] += av * bv
-					}
-				}
-			}
-		}
-	})
+	at := Transpose(a)
+	out := MatMul(at, b)
+	at.Release()
 	return out
 }
 
 // MatMulT2 computes a·bᵀ for a (m,k) and b (n,k) -> (m,n) without
-// materializing the transpose. The output columns are tiled blockJ wide so
-// the tile's B rows (tw*k floats) stay cache-resident across every A row of
-// the chunk; each element is still one uninterrupted dot product over p.
+// materializing the transpose: every element is one dot product of an A
+// row with a B row (see dotKernel).
 func MatMulT2(a, b *Tensor) *Tensor {
 	if a.NDim() != 2 || b.NDim() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulT2 needs 2-D operands, got %v and %v", a.shape, b.shape))
@@ -234,32 +224,15 @@ func MatMulT2(a, b *Tensor) *Tensor {
 	}
 	out := empty(m, n)
 	parallel.For(m, parallel.GrainForCost(2*k*n, minChunkOps), func(lo, hi int) {
-		for j0 := 0; j0 < n; j0 += blockJ {
-			j1 := j0 + blockJ
-			if j1 > n {
-				j1 = n
-			}
-			for i := lo; i < hi; i++ {
-				ai := a.data[i*k : (i+1)*k]
-				ci := out.data[i*n : (i+1)*n]
-				for j := j0; j < j1; j++ {
-					bj := b.data[j*k : (j+1)*k]
-					s := 0.0
-					for p := range ai {
-						s += ai[p] * bj[p]
-					}
-					ci[j] = s
-				}
-			}
-		}
+		dotKernel(out.data, a.data, b.data, lo, hi, k, n)
 	})
 	return out
 }
 
 // BatchMatMul multiplies two 3-D tensors batch-wise:
 // (B,m,k) x (B,k,n) -> (B,m,n). Batch elements are independent, so the
-// batch axis is the parallel axis; each chunk reuses one pooled panel buffer
-// across its batch elements for the blocked per-element kernel.
+// batch axis is the parallel axis and each element is one serial rowKernel
+// call.
 func BatchMatMul(a, b *Tensor) *Tensor {
 	if a.NDim() != 3 || b.NDim() != 3 {
 		panic(fmt.Sprintf("tensor: BatchMatMul needs 3-D operands, got %v and %v", a.shape, b.shape))
@@ -273,26 +246,17 @@ func BatchMatMul(a, b *Tensor) *Tensor {
 	}
 	n := b.shape[2]
 	out := New(bs, m, n)
-	blocked := n > blockJ
 	parallel.For(bs, parallel.GrainForCost(2*m*k*n, minChunkOps), func(lo, hi int) {
-		var panels []float64
-		var pb *[]float64
-		if blocked {
-			pb = getBuf(k * n)
-			panels = *pb
-		}
 		for i := lo; i < hi; i++ {
-			matmulKernel(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], m, k, n, panels)
-		}
-		if blocked {
-			putBuf(pb)
+			rowKernel(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n)
 		}
 	})
 	return out
 }
 
-// MatVec multiplies a 2-D tensor (m,k) by a vector (k,) -> (m,). Output
-// rows are independent dot products, so the row axis fans out over
+// MatVec multiplies a 2-D tensor (m,k) by a vector (k,) -> (m,): the
+// vector is the single B row of a dotKernel product, so every output is one
+// dot product summed from +0 in ascending order. Output rows fan out over
 // internal/parallel like the other kernels.
 func MatVec(a, v *Tensor) *Tensor {
 	if a.NDim() != 2 || v.NDim() != 1 {
@@ -304,14 +268,7 @@ func MatVec(a, v *Tensor) *Tensor {
 	}
 	out := empty(m)
 	parallel.For(m, parallel.GrainForCost(2*k, minChunkOps), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.data[i*k : (i+1)*k]
-			s := 0.0
-			for p := range ai {
-				s += ai[p] * v.data[p]
-			}
-			out.data[i] = s
-		}
+		dotKernel(out.data, a.data, v.data, lo, hi, k, 1)
 	})
 	return out
 }

@@ -1,87 +1,69 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
-// Kernel microbenchmarks behind BENCH_kernels.json. GOMAXPROCS is pinned to
-// 1 in the serial sub-benchmarks so the blocked-vs-unblocked comparison
-// isolates the cache effects of j-tiling and B-panel packing from
-// parallel fan-out (the 1-CPU CI container cannot show fan-out anyway);
-// the parallel variants run at the machine's width. Shapes are
-// training-scale for this repo's models: the classifier matmul is
-// (batch, feature) x (feature, classes), the attention/backbone matmuls run
-// a few hundred wide.
+// Kernel microbenchmarks behind BENCH_kernels.json. The matmul shapes are
+// the products a mini-scale RefFiL client actually runs per image or batch:
+// conv forward (O, C·kh·kw, OutH·OutW) through MatMul/MatMulAdd, the weight
+// gradient through MatMulT2 and the input gradient through MatMulT1, plus
+// the dense layers. Run them at -cpu 1, where none of them is split over
+// goroutines, to price the inner kernels alone:
+//
+//	go test -run=NONE -bench . -benchtime 200x -cpu 1 -benchmem ./internal/tensor
 
-func benchPair(m, k, n int) (*Tensor, *Tensor) {
-	rng := rand.New(rand.NewSource(9))
-	return RandN(rng, 1, m, k), RandN(rng, 1, k, n)
+// matmulBenchShapes lists the measured training shapes, (m, k, n) of the
+// result, per entry point.
+var matmulBenchShapes = []struct {
+	op      string
+	m, k, n int
+}{
+	{"MatMul", 4, 36, 256},
+	{"MatMul", 4, 27, 256},
+	{"MatMul", 32, 288, 4},
+	{"MatMul", 16, 144, 16},
+	{"MatMul", 8, 72, 64},
+	{"MatMul", 96, 32, 32},
+	{"T2", 4, 256, 36},
+	{"T2", 32, 4, 288},
+	{"T1", 36, 4, 256},
+	{"T1", 288, 32, 4},
 }
 
-// BenchmarkMatMulBlocked prices MatMul on a width that engages the blocked
-// kernel (n > blockJ), against the unblocked row kernel on the same data.
-func BenchmarkMatMulBlocked(b *testing.B) {
-	const m, k, n = 128, 384, 512
-	x, y := benchPair(m, k, n)
-	b.Run("unblocked", func(b *testing.B) {
-		prev := runtime.GOMAXPROCS(1)
-		defer runtime.GOMAXPROCS(prev)
-		out := New(m, n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range out.data {
-				out.data[j] = 0
+func BenchmarkMatMulShapes(b *testing.B) {
+	for _, s := range matmulBenchShapes {
+		rng := rand.New(rand.NewSource(9))
+		var f func() *Tensor
+		switch s.op {
+		case "MatMul":
+			x, y := RandN(rng, 1, s.m, s.k), RandN(rng, 1, s.k, s.n)
+			f = func() *Tensor { return MatMul(x, y) }
+		case "T2":
+			x, y := RandN(rng, 1, s.m, s.k), RandN(rng, 1, s.n, s.k)
+			f = func() *Tensor { return MatMulT2(x, y) }
+		case "T1":
+			x, y := RandN(rng, 1, s.k, s.m), RandN(rng, 1, s.k, s.n)
+			f = func() *Tensor { return MatMulT1(x, y) }
+		}
+		b.Run(fmt.Sprintf("%s/%dx%dx%d", s.op, s.m, s.k, s.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f().Release()
 			}
-			matmulRows(out.data, x.data, y.data, 0, m, k, n)
-		}
-	})
-	b.Run("blocked", func(b *testing.B) {
-		prev := runtime.GOMAXPROCS(1)
-		defer runtime.GOMAXPROCS(prev)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			MatMul(x, y)
-		}
-	})
-	b.Run("blocked-parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MatMul(x, y)
-		}
-	})
-}
-
-func BenchmarkMatMulT1(b *testing.B) {
-	const m, k, n = 128, 384, 512
-	rng := rand.New(rand.NewSource(10))
-	x, y := RandN(rng, 1, k, m), RandN(rng, 1, k, n)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MatMulT1(x, y)
+		})
 	}
 }
 
-func BenchmarkMatMulT2(b *testing.B) {
-	const m, k, n = 128, 384, 512
-	rng := rand.New(rand.NewSource(11))
-	x, y := RandN(rng, 1, m, k), RandN(rng, 1, n, k)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MatMulT2(x, y)
-	}
-}
-
-func BenchmarkBatchMatMulBlocked(b *testing.B) {
+func BenchmarkBatchMatMul(b *testing.B) {
 	const bs, m, k, n = 8, 64, 96, 192
 	rng := rand.New(rand.NewSource(12))
 	x, y := RandN(rng, 1, bs, m, k), RandN(rng, 1, bs, k, n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		BatchMatMul(x, y)
+		BatchMatMul(x, y).Release()
 	}
 }
 
@@ -91,6 +73,6 @@ func BenchmarkMatVec(b *testing.B) {
 	x, v := RandN(rng, 1, m, k), RandN(rng, 1, k)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MatVec(x, v)
+		MatVec(x, v).Release()
 	}
 }
