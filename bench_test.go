@@ -683,8 +683,10 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// BenchmarkPipelinedRound prices transport pipelining against the barrier
-// runner on a loopback federation with real wall-clock stragglers. Three
+// BenchmarkPipelinedRound prices transport pipelining against a barrier
+// schedule on a loopback federation with real wall-clock stragglers. The
+// barrier arm hides the Pipeline's Dispatcher methods (barrierPipeline), so
+// the AsyncRunner awaits every round in full before the next dispatch. Three
 // workers each sleep through fl.StragglerSleep before acking a straggling
 // job, and the coordinator's AsyncRunner anticipates exactly those lags
 // with the matching fl.StragglerDelay (same seed, same splitmix64 draw):
@@ -743,9 +745,9 @@ func BenchmarkPipelinedRound(b *testing.B) {
 		return alg
 	}
 	// runOnce stands up a fresh loopback federation (listen/dial excluded
-	// from the timer by the caller) and runs the full 6-round task through
-	// either the barrier or the pipelined transport under the same
-	// AsyncRunner window and straggler schedule.
+	// from the timer by the caller) and runs the full task through the
+	// Pipeline, barrier or pipelined, under the same AsyncRunner window and
+	// straggler schedule.
 	runOnce := func(b *testing.B, pipelined bool) {
 		b.Helper()
 		coord, err := transport.Listen("127.0.0.1:0")
@@ -778,27 +780,16 @@ func BenchmarkPipelinedRound(b *testing.B) {
 			b.Fatal(err)
 		}
 		alg := newAlg()
-		var inner fl.Runner
-		closeTransport := func() error { return nil }
-		if pipelined {
-			pl, err := transport.NewPipeline(coord, alg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := pl.UseCodec("delta"); err != nil {
-				b.Fatal(err)
-			}
-			closeTransport = pl.Close
-			inner = pl
-		} else {
-			br, err := transport.NewRunner(coord, alg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := br.UseCodec("delta"); err != nil {
-				b.Fatal(err)
-			}
-			inner = br
+		pl, err := transport.NewPipeline(coord, alg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := pl.UseCodec("delta"); err != nil {
+			b.Fatal(err)
+		}
+		var inner fl.Runner = pl
+		if !pipelined {
+			inner = barrierPipeline{pl}
 		}
 		runner := &fl.AsyncRunner{Inner: inner, Staleness: staleness, Delay: delay}
 		eng, err := fl.NewEngineWithRunner(cfg, alg, runner)
@@ -810,7 +801,7 @@ func BenchmarkPipelinedRound(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if err := closeTransport(); err != nil {
+		if err := pl.Close(); err != nil {
 			b.Fatal(err)
 		}
 		if err := coord.Shutdown(); err != nil {
@@ -838,6 +829,11 @@ func BenchmarkPipelinedRound(b *testing.B) {
 		})
 	}
 }
+
+// barrierPipeline hides the Pipeline's fl.Dispatcher methods: an
+// AsyncRunner over it runs each round through RunEach, completing every
+// job before the next round dispatches.
+type barrierPipeline struct{ fl.Runner }
 
 // BenchmarkStreamingAggregation measures the memory claim behind the
 // streaming FedAvg fold: batch aggregation must hold every selected

@@ -2,8 +2,8 @@
 // runs the full fl.Engine — the paper's client-increment strategy,
 // per-round participant selection, dropout, FedAvg weighted by local
 // dataset size, and the method's server hooks — over the TCP transport
-// Runner, so every paper scenario that runs single-process runs multi-node
-// with bit-identical accuracy matrices for the same seed.
+// Pipeline, so every paper scenario that runs single-process runs
+// multi-node with bit-identical accuracy matrices for the same seed.
 //
 // Start the server, then one fedworker per machine (workers and server
 // must agree on -method, -dataset, -tasks and -seed; any worker count
@@ -17,12 +17,14 @@
 // broadcasts (dataset, domain, seed, partition slot), so no training data
 // ever crosses the wire — only model state, wire state and job framing.
 //
-// Rounds are fault-tolerant by default (-requeue): a worker that dies
-// mid-round has its unfinished jobs re-queued on the survivors and the run
-// continues on the remaining pool. -staleness S switches the engine to
-// bounded-staleness async rounds where results may report up to S rounds
-// late with 1/(1+k)-discounted FedAvg weight; -straggler simulates lagging
-// clients deterministically.
+// Rounds are fault-tolerant: a worker that dies mid-round has its
+// unfinished jobs re-queued on the survivors and the run continues on the
+// remaining pool. -staleness S switches the engine to bounded-staleness
+// async rounds where results may report up to S rounds late with
+// 1/(1+k)-discounted FedAvg weight; lagging results stay in flight on the
+// wire while later rounds dispatch. -straggler simulates lagging clients
+// deterministically (pair it with fedworker -straggle so the workers are
+// really slow).
 //
 // -codec selects the wire format (protocol v5): "full" rebroadcasts the
 // complete state and method wire state every round and receives full state
@@ -50,21 +52,19 @@
 // the final accuracy matrix is bit-identical to an uninterrupted run (see
 // README "Elastic membership & resume").
 //
-// -pprof ADDR serves the net/http/pprof endpoints for live CPU/heap
-// profiling of a running coordinator (see README "Performance").
-//
 // -metrics ADDR serves a Prometheus /metrics page (round, byte,
 // frame-kind, liveness, admission and checkpoint series that reconcile
-// with the wire totals); -trace FILE records the round/job lifecycle as a
-// Chrome trace-event file loadable in Perfetto. Both are off by default
-// and cost nothing when disabled (see README "Observability").
+// with the wire totals) and, on the same address, the net/http/pprof
+// endpoints for live CPU/heap profiling; -trace FILE records the
+// round/job lifecycle as a Chrome trace-event file loadable in Perfetto.
+// Both are off by default and cost nothing when disabled (see README
+// "Observability").
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,7 +77,6 @@ import (
 	"reffil/internal/fl/transport"
 	"reffil/internal/fl/wire"
 	"reffil/internal/model"
-	"reffil/internal/profiling"
 	"reffil/internal/telemetry"
 )
 
@@ -143,13 +142,10 @@ func run() error {
 
 		staleness = flag.Int("staleness", 0, "bounded-staleness window S: results may report up to S rounds late with discounted FedAvg weight (0 = synchronous rounds, bit-identical to the local engine)")
 		straggler = flag.Float64("straggler", 0, "per-(round,client) probability of lagging 1..S rounds (deterministic simulation; requires -staleness >= 1)")
-		requeue   = flag.Bool("requeue", true, "re-queue a dead worker's unfinished jobs on the survivors instead of failing the round")
-		pipeline  = flag.Bool("pipeline", false, "pipelined rounds: dispatch round r+1 while round r's acks are in flight; with -staleness S >= 1 lagging results stay in flight on the wire instead of being completed and withheld, at S=0 it stays bit-identical to the barrier runner")
 		codec     = flag.String("codec", "full", "broadcast codec: "+strings.Join(wire.Names(), "|")+" (delta sends per-key diffs against each worker's acked base and re-sends method wire state only when it changes; full and delta are bit-identical)")
 		wireLog   = flag.Bool("wire-log", true, "log per-round wire statistics (bytes broadcast/uploaded, frame kinds, fallbacks)")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables profiling)")
 
-		metricsAddr = flag.String("metrics", "", "serve a Prometheus /metrics page on this address (e.g. localhost:9090; also mounted on the -pprof server; empty disables metrics)")
+		metricsAddr = flag.String("metrics", "", "serve a Prometheus /metrics page and the net/http/pprof endpoints (/debug/pprof/) on this address (e.g. localhost:9090; empty disables both)")
 		traceFile   = flag.String("trace", "", "record the round/job lifecycle as a Chrome trace-event file at this path (load in Perfetto; empty disables tracing)")
 	)
 	flag.Parse()
@@ -172,8 +168,6 @@ func run() error {
 		var trc *telemetry.Tracer
 		if *metricsAddr != "" {
 			reg = telemetry.NewRegistry()
-			// DefaultServeMux too, so a -pprof server scrapes at /metrics.
-			http.Handle("/metrics", reg.Handler())
 		}
 		if *traceFile != "" {
 			var err error
@@ -190,13 +184,6 @@ func run() error {
 	wlog := telemetry.NewLogger(os.Stdout, telemetry.F("run", runID))
 	wlog.Tracer = sink.Tracer()
 
-	if *pprofAddr != "" {
-		bound, err := profiling.Serve(*pprofAddr)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", bound)
-	}
 	if *metricsAddr != "" {
 		bound, err := reg.Serve(*metricsAddr)
 		if err != nil {
@@ -254,58 +241,27 @@ func run() error {
 			telemetry.F("last_ack_ms", fmt.Sprintf("%.1f", float64(rs.LastAckNanos)/1e6)),
 			telemetry.F("overlap_pct", fmt.Sprintf("%.0f", rs.OverlapRatio()*100)))
 	}
-	// Both transports expose the same engine-facing and accounting surface;
-	// -pipeline swaps the barrier Runner for the pipelined one.
-	var tr interface {
-		fl.Runner
-		UseCodec(string) error
-		Codec() string
-		Stats() transport.Stats
-	}
-	closeTransport := func() {}
-	if *pipeline {
-		pl, err := transport.NewPipeline(coord, alg)
-		if err != nil {
-			return err
-		}
-		pl.Requeue = *requeue
-		pl.JoinWait = *joinWait
-		pl.Telemetry = sink
-		if *wireLog {
-			pl.OnRound = onRound
-		}
-		// Closed before the worker goodbye: collectors must stop treating
-		// the connection teardown Shutdown triggers as worker deaths.
-		closeTransport = func() { _ = pl.Close() }
-		tr = pl
-	} else {
-		br, err := transport.NewRunner(coord, alg)
-		if err != nil {
-			return err
-		}
-		br.Requeue = *requeue
-		br.JoinWait = *joinWait
-		br.Telemetry = sink
-		if *wireLog {
-			br.OnRound = onRound
-		}
-		tr = br
-	}
-	if err := tr.UseCodec(*codec); err != nil {
+	pl, err := transport.NewPipeline(coord, alg)
+	if err != nil {
 		return err
 	}
-	// With a staleness window the engine runs bounded-staleness rounds:
-	// lagging results report into later rounds of the same task with
-	// 1/(1+k)-discounted weight. At -staleness 0 the AsyncRunner wrapper is
-	// bypassed entirely and rounds stay synchronous.
-	var runner fl.Runner = tr
-	if *staleness > 0 {
-		runner = &fl.AsyncRunner{
-			Inner:     tr,
-			Staleness: *staleness,
-			Delay:     fl.StragglerDelay(*seed, *straggler, *staleness),
-			Telemetry: sink,
-		}
+	pl.JoinWait = *joinWait
+	pl.Telemetry = sink
+	if *wireLog {
+		pl.OnRound = onRound
+	}
+	if err := pl.UseCodec(*codec); err != nil {
+		return err
+	}
+	// At -staleness 0 every round admits exactly its own results in job
+	// order, bit-identical to the local engine; with a window, lagging
+	// results report into later rounds of the same task with
+	// 1/(1+k)-discounted weight and stay in flight on the wire meanwhile.
+	runner := &fl.AsyncRunner{
+		Inner:     pl,
+		Staleness: *staleness,
+		Delay:     fl.StragglerDelay(*seed, *straggler, *staleness),
+		Telemetry: sink,
 	}
 	cfg := fl.Config{
 		Rounds:            *rounds,
@@ -380,12 +336,12 @@ func run() error {
 		return err
 	}
 
-	if ar, ok := runner.(*fl.AsyncRunner); ok {
-		fmt.Printf("async rounds: staleness window %d, %d results dropped beyond the bound\n", ar.Staleness, ar.Dropped())
+	if *staleness > 0 {
+		fmt.Printf("async rounds: staleness window %d, %d results dropped beyond the bound\n", runner.Staleness, runner.Dropped())
 	}
-	st := tr.Stats()
+	st := pl.Stats()
 	fmt.Printf("wire totals (codec %s): %d rounds, broadcast %s (%s/round), uploads %s (%s/round, %d patch/%d full, %d fallbacks), frames %d full/%d delta/%d idle, %d full-snapshot fallbacks\n",
-		tr.Codec(), st.Rounds, fmtBytes(st.BroadcastBytes), fmtBytes(perRound(st.BroadcastBytes, st.Rounds)),
+		pl.Codec(), st.Rounds, fmtBytes(st.BroadcastBytes), fmtBytes(perRound(st.BroadcastBytes, st.Rounds)),
 		fmtBytes(st.UploadBytes), fmtBytes(perRound(st.UploadBytes, st.Rounds)),
 		st.PatchUploads, st.StateUploads, st.UploadFallbacks,
 		st.FullFrames, st.DeltaFrames, st.IdleFrames, st.Fallbacks)
@@ -403,9 +359,11 @@ func run() error {
 		}
 		fmt.Println("saved global model to", *ckpt)
 	}
-	// The goodbye is best-effort: a worker that died after its last reply
-	// must not discard a completed run's results.
-	closeTransport()
+	// Closed before the worker goodbye: collectors must stop treating the
+	// connection teardown Shutdown triggers as worker deaths. The goodbye
+	// is best-effort: a worker that died after its last reply must not
+	// discard a completed run's results.
+	_ = pl.Close()
 	if err := coord.Shutdown(); err != nil {
 		fmt.Fprintln(os.Stderr, "fedserver: shutdown:", err)
 	}

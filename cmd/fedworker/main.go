@@ -32,19 +32,17 @@
 // the construction seed fixes the initial weights on both sides. See
 // cmd/fedserver for the full deployment recipe.
 //
-// -pprof ADDR serves the net/http/pprof endpoints for live CPU/heap
-// profiling of a running worker — the side where the kernel hot paths
-// (local training) actually burn (see README "Performance").
-//
 // -metrics ADDR serves a Prometheus /metrics page with this worker's
-// round/job counters; -trace FILE records its round lifecycle as a Chrome
-// trace-event file. Both are off by default (see README "Observability").
+// round/job counters and, on the same address, the net/http/pprof
+// endpoints for live CPU/heap profiling — the side where the kernel hot
+// paths (local training) actually burn; -trace FILE records its round
+// lifecycle as a Chrome trace-event file. Both are off by default (see
+// README "Observability").
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -57,7 +55,6 @@ import (
 	"reffil/internal/fl/transport"
 	"reffil/internal/fl/wire"
 	"reffil/internal/model"
-	"reffil/internal/profiling"
 	"reffil/internal/telemetry"
 )
 
@@ -86,9 +83,8 @@ func run() error {
 		seed    = flag.Int64("seed", 1, "shared run seed (must match fedserver)")
 		jobs    = flag.Int("jobs", 0, "concurrent jobs per round (0 = NumCPU)")
 		codec   = flag.String("codec", "", "pin the accepted broadcast codec ("+strings.Join(wire.Names(), "|")+"); empty accepts whatever the coordinator sends")
-		pprof   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061; empty disables profiling)")
 
-		straggle     = flag.Float64("straggle", 0, "per-(round,client) probability this worker really sleeps before acking a job (deterministic in -seed; pair with fedserver -pipeline -straggler so admission anticipates the lag)")
+		straggle     = flag.Float64("straggle", 0, "per-(round,client) probability this worker really sleeps before acking a job (deterministic in -seed; pair with fedserver -straggler so admission anticipates the lag)")
 		straggleMax  = flag.Int("straggle-max", 1, "maximum lag in rounds for a straggling job (match fedserver -staleness)")
 		straggleUnit = flag.Duration("straggle-unit", 200*time.Millisecond, "real wall-clock sleep per lag round")
 
@@ -98,7 +94,7 @@ func run() error {
 		heartbeat   = flag.Duration("heartbeat", 2*time.Second, "stream liveness heartbeats to the coordinator on this interval so wedge detection is bounded (0 disables)")
 		rejoin      = flag.Int("rejoin", 0, "re-dial and re-join a lost coordinator up to this many times (0 = exit on first disconnect)")
 
-		metricsAddr = flag.String("metrics", "", "serve a Prometheus /metrics page on this address (also mounted on the -pprof server; empty disables metrics)")
+		metricsAddr = flag.String("metrics", "", "serve a Prometheus /metrics page and the net/http/pprof endpoints (/debug/pprof/) on this address (empty disables both)")
 		traceFile   = flag.String("trace", "", "record this worker's round lifecycle as a Chrome trace-event file at this path (empty disables tracing)")
 	)
 	flag.Parse()
@@ -114,7 +110,6 @@ func run() error {
 		var trc *telemetry.Tracer
 		if *metricsAddr != "" {
 			reg = telemetry.NewRegistry()
-			http.Handle("/metrics", reg.Handler())
 		}
 		if *traceFile != "" {
 			var err error
@@ -129,13 +124,6 @@ func run() error {
 	wlog := telemetry.NewLogger(os.Stdout, telemetry.F("run", runID), telemetry.F("worker", *id))
 	wlog.Tracer = sink.Tracer()
 
-	if *pprof != "" {
-		bound, err := profiling.Serve(*pprof)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("worker %d: pprof listening on http://%s/debug/pprof/\n", *id, bound)
-	}
 	if *metricsAddr != "" {
 		bound, err := reg.Serve(*metricsAddr)
 		if err != nil {

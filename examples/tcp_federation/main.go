@@ -18,12 +18,17 @@
 // report one round late at half FedAvg weight. That run's matrix is
 // printed for comparison — it legitimately differs from the synchronous
 // one, because lagging results change the aggregation set of each round
-// (bit-identity is only guaranteed at S=0 or with no stragglers).
+// (bit-identity is only guaranteed at S=0 or with no stragglers). A third
+// run makes one worker really slow and lags every result one round: the
+// coordinator dispatches round r+1 while round r's acks are still in
+// flight, and the per-round overlap ratio shows how much collection time
+// ran concurrently with later rounds.
 //
 //	go run ./examples/tcp_federation
 //
 // -metrics ADDR serves the telemetry registry's Prometheus /metrics page
-// for the duration of the demo (the CI smoke test scrapes it);
+// and the net/http/pprof endpoints for the duration of the demo (the CI
+// smoke test scrapes both);
 // -metrics-linger keeps the process alive that long after the runs finish
 // so an external scraper can read the final counter values.
 package main
@@ -53,7 +58,7 @@ const (
 )
 
 var (
-	metricsAddr   = flag.String("metrics", "", "serve a Prometheus /metrics page on this address (empty disables)")
+	metricsAddr   = flag.String("metrics", "", "serve a Prometheus /metrics page and /debug/pprof/ on this address (empty disables)")
 	metricsLinger = flag.Duration("metrics-linger", 0, "keep the process alive this long after the runs finish so /metrics can be scraped")
 
 	sink *telemetry.Sink
@@ -90,9 +95,9 @@ func newAlg(family *data.Family, tasks int) (fl.Algorithm, error) {
 }
 
 func run() error {
-	// Telemetry covers the first (barrier) networked run; the demo's later
-	// passes rerun the same mechanics, so one instrumented run is enough for
-	// the CI metrics smoke test to reconcile against.
+	// Telemetry covers the first networked run; the demo's later passes
+	// rerun the same mechanics, so one instrumented run is enough for the
+	// CI metrics smoke test to reconcile against.
 	if *metricsAddr != "" {
 		reg := telemetry.NewRegistry()
 		sink = telemetry.NewSink(reg, nil)
@@ -109,64 +114,32 @@ func run() error {
 	}
 	domains := family.Domains[:2]
 
-	coord, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-	coord.SetTelemetry(sink)
-	fmt.Println("coordinator listening on", coord.Addr())
-
-	var wg sync.WaitGroup
-	for id := 0; id < numWorkers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if err := worker(coord.Addr(), id, family, len(domains), nil); err != nil {
-				fmt.Fprintf(os.Stderr, "worker %d: %v\n", id, err)
-			}
-		}(id)
-	}
-	if err := coord.Accept(numWorkers, 10*time.Second); err != nil {
-		return err
-	}
-	fmt.Printf("%d workers connected\n", numWorkers)
-
-	// Networked run: the engine schedules, the transport Runner fans out
+	// Networked run: the engine schedules, the transport Pipeline fans out
 	// delta-encoded broadcasts and accounts every byte.
 	alg, err := newAlg(family, len(domains))
 	if err != nil {
 		return err
 	}
-	runner, err := transport.NewRunner(coord, alg)
+	pl, stop, err := federation(family, len(domains), alg, sink, nil)
 	if err != nil {
 		return err
 	}
-	runner.Telemetry = sink
-	if err := runner.UseCodec("delta"); err != nil {
-		return err
-	}
-	runner.OnRound = func(rs transport.RoundStats) {
+	pl.OnRound = func(rs transport.RoundStats) {
 		fmt.Printf("  [wire] task %d round %d: broadcast %d B, uploads %d B (%d patch/%d full), frames %d full/%d delta/%d idle\n",
 			rs.Task, rs.Round, rs.BroadcastBytes, rs.UploadBytes, rs.PatchUploads, rs.StateUploads,
 			rs.FullFrames, rs.DeltaFrames, rs.IdleFrames)
 	}
-	eng, err := fl.NewEngineWithRunner(config(), alg, runner)
+	eng, err := fl.NewEngineWithRunner(config(), alg, pl)
 	if err != nil {
 		return err
 	}
 	eng.Progress = func(msg string) { fmt.Println("  " + msg) }
 	eng.Telemetry = sink
 	tcpMat, err := eng.Run(family, domains)
+	stop()
 	if err != nil {
 		return err
 	}
-	// Best-effort goodbye: a dead worker connection must not discard the
-	// completed run.
-	if err := coord.Shutdown(); err != nil {
-		fmt.Fprintln(os.Stderr, "shutdown:", err)
-	}
-	wg.Wait()
 
 	// Reference run: identical engine, in-process worker pool.
 	ref, err := newAlg(family, len(domains))
@@ -182,7 +155,7 @@ func run() error {
 		return err
 	}
 
-	st := runner.Stats()
+	st := pl.Stats()
 	fmt.Printf("wire totals (codec delta): broadcast %d B, uploads %d B (%d patch/%d full) over %d rounds, %d full-snapshot fallbacks\n",
 		st.BroadcastBytes, st.UploadBytes, st.PatchUploads, st.StateUploads, st.Rounds, st.Fallbacks)
 	printMatrix("over TCP", tcpMat)
@@ -200,7 +173,7 @@ func run() error {
 	if err := runAsync(family, domains); err != nil {
 		return err
 	}
-	if err := runPipelined(family, domains, tcpMat); err != nil {
+	if err := runOverlap(family, domains); err != nil {
 		return err
 	}
 	if *metricsLinger > 0 {
@@ -210,167 +183,111 @@ func run() error {
 	return nil
 }
 
-// runAsync reruns the federation over TCP with bounded-staleness rounds:
-// simulated stragglers lag one round and report with discounted weight.
-func runAsync(family *data.Family, domains []string) error {
+// federation listens on loopback, joins numWorkers worker goroutines
+// (worker 1 runs slow before each ack when non-nil) and returns a
+// delta-codec Pipeline over them for alg. stop closes the pipeline, says
+// goodbye to the workers and waits for them to exit.
+func federation(family *data.Family, tasks int, alg fl.Algorithm, tel *telemetry.Sink, slow func(fl.JobSpec)) (*transport.Pipeline, func(), error) {
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	defer coord.Close()
+	coord.SetTelemetry(tel)
 	var wg sync.WaitGroup
 	for id := 0; id < numWorkers; id++ {
+		var straggle func(fl.JobSpec)
+		if id == 1 {
+			straggle = slow
+		}
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			if err := worker(coord.Addr(), id, family, len(domains), nil); err != nil {
-				fmt.Fprintf(os.Stderr, "async worker %d: %v\n", id, err)
+			if err := worker(coord.Addr(), id, family, tasks, straggle); err != nil {
+				fmt.Fprintf(os.Stderr, "worker %d: %v\n", id, err)
 			}
 		}(id)
 	}
-	if err := coord.Accept(numWorkers, 10*time.Second); err != nil {
-		return err
+	pl, err := transport.NewPipeline(coord, alg)
+	if err == nil {
+		err = pl.UseCodec("delta")
 	}
+	if err == nil {
+		err = coord.Accept(numWorkers, 10*time.Second)
+	}
+	if err != nil {
+		coord.Close()
+		wg.Wait()
+		return nil, nil, err
+	}
+	pl.Telemetry = tel
+	fmt.Printf("coordinator on %s: %d workers connected\n", coord.Addr(), numWorkers)
+	stop := func() {
+		// Closed before the goodbye: collectors must not count the
+		// teardown as worker deaths. The goodbye is best-effort: a dead
+		// worker connection must not discard a completed run.
+		_ = pl.Close()
+		if err := coord.Shutdown(); err != nil {
+			fmt.Fprintln(os.Stderr, "shutdown:", err)
+		}
+		wg.Wait()
+		coord.Close()
+	}
+	return pl, stop, nil
+}
 
+// runAsync reruns the federation over TCP with bounded-staleness rounds:
+// simulated stragglers lag one round and report with discounted weight.
+func runAsync(family *data.Family, domains []string) error {
 	alg, err := newAlg(family, len(domains))
 	if err != nil {
 		return err
 	}
-	tr, err := transport.NewRunner(coord, alg)
+	pl, stop, err := federation(family, len(domains), alg, nil, nil)
 	if err != nil {
 		return err
 	}
 	async := &fl.AsyncRunner{
-		Inner:     tr,
+		Inner:     pl,
 		Staleness: 1,
 		// A third of the (round, client) pairs lag one round, deterministically.
 		Delay: fl.StragglerDelay(seed, 0.33, 1),
 	}
 	eng, err := fl.NewEngineWithRunner(config(), alg, async)
 	if err != nil {
+		stop()
 		return err
 	}
 	mat, err := eng.Run(family, domains)
+	stop()
 	if err != nil {
 		return err
 	}
-	if err := coord.Shutdown(); err != nil {
-		fmt.Fprintln(os.Stderr, "async shutdown:", err)
-	}
-	wg.Wait()
-
 	fmt.Printf("\nbounded-staleness rerun (S=1, ~33%% stragglers, %d results dropped):\n", async.Dropped())
 	printMatrix("async over TCP", mat)
 	fmt.Println("async matrices may legitimately differ from the synchronous run: stragglers shift each round's aggregation set")
 	return nil
 }
 
-// runPipelined demonstrates pipelined round execution. First pass: the
-// Pipeline at staleness 0 — dispatch and collection are decoupled
-// internally, but every result is awaited in its own round, so the matrix
-// must match the barrier run bit for bit. Second pass: staleness window
-// S=1 with one genuinely slow worker (a real wall-clock sleep before each
-// of its acks); the coordinator dispatches round r+1 while the straggler's
-// round-r acks are still in flight, and the per-round overlap ratio shows
-// how much collection time ran concurrently with later rounds.
-func runPipelined(family *data.Family, domains []string, barrier *metrics.Matrix) error {
-	coord, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-	var wg sync.WaitGroup
-	for id := 0; id < numWorkers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if err := worker(coord.Addr(), id, family, len(domains), nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pipelined worker %d: %v\n", id, err)
-			}
-		}(id)
-	}
-	if err := coord.Accept(numWorkers, 10*time.Second); err != nil {
-		return err
-	}
-
+// runOverlap demonstrates pipelined round execution: worker 1 really
+// sleeps before each ack, and the coordinator's Delay policy marks every
+// result as lagging one round — results stay in flight on the wire while
+// the next round dispatches, and are awaited only at admission.
+func runOverlap(family *data.Family, domains []string) error {
 	alg, err := newAlg(family, len(domains))
 	if err != nil {
 		return err
 	}
-	pl, err := transport.NewPipeline(coord, alg)
+	pl, stop, err := federation(family, len(domains), alg, nil, func(fl.JobSpec) { time.Sleep(60 * time.Millisecond) })
 	if err != nil {
 		return err
 	}
-	if err := pl.UseCodec("delta"); err != nil {
-		return err
-	}
-	eng, err := fl.NewEngineWithRunner(config(), alg, &fl.AsyncRunner{Inner: pl, Staleness: 0})
-	if err != nil {
-		return err
-	}
-	mat, err := eng.Run(family, domains)
-	if err != nil {
-		return err
-	}
-	_ = pl.Close()
-	if err := coord.Shutdown(); err != nil {
-		fmt.Fprintln(os.Stderr, "pipelined shutdown:", err)
-	}
-	wg.Wait()
-	for t := range mat.A {
-		for i := 0; i <= t; i++ {
-			if math.Float64bits(mat.A[t][i]) != math.Float64bits(barrier.A[t][i]) {
-				return fmt.Errorf("pipelined S=0 diverged at [%d][%d]: %v vs barrier %v",
-					t, i, mat.A[t][i], barrier.A[t][i])
-			}
-		}
-	}
-	fmt.Println("\npipelined run at staleness 0 is bit-identical to the barrier run")
-
-	// Overlap pass: worker 1 really sleeps before each ack, and the
-	// coordinator's Delay policy marks every one of its results as lagging
-	// one round — they stay in flight on the wire while the next round
-	// dispatches, and are awaited only at admission.
-	coord2, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer coord2.Close()
-	var wg2 sync.WaitGroup
-	for id := 0; id < numWorkers; id++ {
-		wg2.Add(1)
-		go func(id int) {
-			defer wg2.Done()
-			var straggle func(fl.JobSpec)
-			if id == 1 {
-				straggle = func(fl.JobSpec) { time.Sleep(60 * time.Millisecond) }
-			}
-			if err := worker(coord2.Addr(), id, family, len(domains), straggle); err != nil {
-				fmt.Fprintf(os.Stderr, "overlap worker %d: %v\n", id, err)
-			}
-		}(id)
-	}
-	if err := coord2.Accept(numWorkers, 10*time.Second); err != nil {
-		return err
-	}
-	alg2, err := newAlg(family, len(domains))
-	if err != nil {
-		return err
-	}
-	pl2, err := transport.NewPipeline(coord2, alg2)
-	if err != nil {
-		return err
-	}
-	if err := pl2.UseCodec("delta"); err != nil {
-		return err
-	}
-	pl2.OnRound = func(rs transport.RoundStats) {
+	pl.OnRound = func(rs transport.RoundStats) {
 		fmt.Printf("  [pipe] task %d round %d: dispatch %.1fms, last ack %.1fms, overlap %.0f%%\n",
 			rs.Task, rs.Round, float64(rs.DispatchNanos)/1e6, float64(rs.LastAckNanos)/1e6,
 			rs.OverlapRatio()*100)
 	}
 	async := &fl.AsyncRunner{
-		Inner:     pl2,
+		Inner:     pl,
 		Staleness: 1,
 		// Worker assignment is round-robin by job index, so odd-indexed jobs
 		// land on the slow worker; lag every result one round so none is
@@ -378,21 +295,18 @@ func runPipelined(family *data.Family, domains []string, barrier *metrics.Matrix
 		// clock to finish in the background.
 		Delay: func(round int, spec fl.JobSpec) int { return 1 },
 	}
-	eng2, err := fl.NewEngineWithRunner(config(), alg2, async)
+	eng, err := fl.NewEngineWithRunner(config(), alg, async)
+	if err != nil {
+		stop()
+		return err
+	}
+	mat, err := eng.Run(family, domains)
+	stop()
 	if err != nil {
 		return err
 	}
-	mat2, err := eng2.Run(family, domains)
-	if err != nil {
-		return err
-	}
-	_ = pl2.Close()
-	if err := coord2.Shutdown(); err != nil {
-		fmt.Fprintln(os.Stderr, "overlap shutdown:", err)
-	}
-	wg2.Wait()
 	fmt.Printf("pipelined S=1 rerun with a slow worker (%d results dropped):\n", async.Dropped())
-	printMatrix("pipelined S=1 over TCP", mat2)
+	printMatrix("pipelined S=1 over TCP", mat)
 	fmt.Println("every result lagged one round, so collection overlapped the next dispatch instead of blocking it")
 	return nil
 }
@@ -405,7 +319,7 @@ func printMatrix(label string, mat *metrics.Matrix) {
 // worker is one federation participant machine: dial, construct the same
 // method with the same construction seed, and serve job broadcasts. A
 // non-nil straggle runs before each ack — the real-slowness simulation of
-// the pipelined demo.
+// the overlap demo.
 func worker(addr string, id int, family *data.Family, tasks int, straggle func(fl.JobSpec)) error {
 	alg, err := newAlg(family, tasks)
 	if err != nil {

@@ -30,46 +30,29 @@ type TaggedResult struct {
 	Result Result
 }
 
-// StalenessRunner is the engine-facing contract for asynchronous rounds.
-// Unlike Runner.Run — which must return one result per job — RunRound may
-// hold results back and admit them into a later round of the same task, as
-// long as it honours the bounded-staleness invariants:
-//
-//   - a result trained against round r-k's weights is admitted into round
-//     r only if k ≤ the runner's staleness bound (staler results are
-//     dropped, like a client dropout);
-//   - admitted results are ordered by (Origin, position in the origin
-//     round's job list), so aggregation order is deterministic;
-//   - when drain is set (the last round of a task stage) every in-flight
-//     result is admitted: no result may leak across a task boundary.
-//
-// With a staleness bound of 0 and no delays, every round admits exactly
-// its own results in job order with undiscounted weights — bit-identical
-// to the synchronous path.
-type StalenessRunner interface {
-	Runner
-	RunRound(task, round int, jobs []Job, drain bool) ([]TaggedResult, error)
-}
-
 // DefaultDiscount is the staleness discount applied to a late result's
 // FedAvg weight when AsyncRunner.Discount is nil: 1/(1+k) for a result k
 // rounds stale. It is 1 at k=0, so fresh results aggregate exactly as in
 // the synchronous path.
 func DefaultDiscount(staleness int) float64 { return 1 / float64(1+staleness) }
 
-// AsyncRunner layers bounded-staleness round semantics over any Runner:
-// the in-process LocalRunner pool or the TCP transport Runner. Each
-// RunRound executes the round's jobs on Inner against the current global
-// weights, then decides per result — via the Delay policy — whether it
-// reports immediately or lags like a straggler, reporting into a later
-// round with a staleness-discounted weight. Results delayed beyond the
+// AsyncRunner is the engine's one round path: it runs each round's jobs on
+// Inner and admits the results into FedAvg under bounded-staleness
+// semantics. The engine wraps any other Runner in an AsyncRunner with
+// Staleness 0, which admits exactly each round's own results, in job
+// order, with undiscounted weights — the synchronous round.
+//
+// The Delay policy decides per result whether it reports immediately or
+// lags like a straggler, reporting into a later round of the same task
+// with a staleness-discounted weight. Results delayed beyond the
 // Staleness bound are dropped (the bounded-staleness guarantee: the
-// aggregator never consumes a result staler than S rounds).
+// aggregator never consumes a result staler than S rounds). Admission
+// order is (Origin, position in the origin round's job list), and the last
+// round of a task (drain) admits everything still pending, so no result
+// crosses a task boundary.
 //
 // AsyncRunner is not safe for concurrent use; the engine drives rounds
-// serially. It also implements plain Runner by delegating to Inner, so it
-// can be passed anywhere a Runner is expected — the engine detects the
-// StalenessRunner interface and prefers the async path.
+// serially.
 type AsyncRunner struct {
 	// Inner executes the actual training.
 	Inner Runner
@@ -98,11 +81,11 @@ type AsyncRunner struct {
 	dropped int
 }
 
-// pendingResult is a trained result withheld by the Delay policy, waiting
-// for its admission round. Over a barrier runner res holds the trained
-// result; over a Dispatcher the result is still in flight on the transport
-// (inflight set) and is awaited at admission time — that wall-clock overlap
-// is the whole point of the pipelined path.
+// pendingResult is a result withheld by the Delay policy, waiting for its
+// admission round. Over a Dispatcher the result is still in flight on the
+// transport (inflight set) and is awaited at admission time — that
+// wall-clock overlap is the whole point of the pipelined path; over any
+// other Runner res holds the trained result.
 type pendingResult struct {
 	due        int
 	origin     int
@@ -113,44 +96,22 @@ type pendingResult struct {
 	res        Result
 }
 
-// StreamStalenessRunner extends StalenessRunner with a streaming admission
-// path: instead of buffering the round's admitted results into a slice,
-// RunRoundStream hands each one to admit as it is settled — in the same
-// (Origin, job-order) sequence RunRound would return — so the engine can
-// fold it straight into the streaming FedAvg Accumulator and hold O(1)
-// dicts. An error from admit aborts the round.
-type StreamStalenessRunner interface {
-	StalenessRunner
-	RunRoundStream(task, round int, jobs []Job, drain bool, admit func(TaggedResult) error) error
-}
-
-// RunRound implements StalenessRunner by collecting RunRoundStream's
-// admissions into a slice. See StalenessRunner for the ordering and
-// boundary contract.
-func (a *AsyncRunner) RunRound(task, round int, jobs []Job, drain bool) ([]TaggedResult, error) {
-	var admitted []TaggedResult
-	err := a.RunRoundStream(task, round, jobs, drain, func(tr TaggedResult) error {
-		admitted = append(admitted, tr)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return admitted, nil
-}
-
-// RunRoundStream implements StreamStalenessRunner: execute round's jobs on
-// Inner, admit every in-flight result due by this round (all of them under
-// drain), and queue the rest.
+// RunRoundStream executes round's jobs on Inner and hands every result due
+// by this round (all of them under drain) to admit, one at a time, in
+// (Origin, job-order) sequence; the rest are queued for a later round. An
+// error from admit aborts the round.
 //
-// When Inner is a Dispatcher (the pipelined transport), the round's jobs
-// are dispatched without a barrier: results the Delay policy marks as
-// lagging are left in flight on the transport — the worker computes them
-// while later rounds dispatch and aggregate — and are awaited only when
-// their admission round comes up. Over a plain Runner the jobs execute
-// synchronously and lagging results are queued locally, wall-clock
-// barriers intact (the pre-pipelining simulation semantics). Both paths
-// admit the same results in the same order with the same weights.
+// Inner's type picks one of two paths that admit the same results in the
+// same order with the same weights:
+//
+//   - a Dispatcher (the pipelined transport) dispatches the round without a
+//     barrier: results the Delay policy marks as lagging stay in flight on
+//     the transport — the worker computes them while later rounds dispatch
+//     and aggregate — and are awaited only when their admission round
+//     comes up;
+//   - any other Runner runs the round through RunEach: fresh results are
+//     admitted in job order as they arrive (out-of-order arrivals wait for
+//     their turn), and lagging ones are queued locally.
 //
 // After any error the runner's pending bookkeeping is unspecified; the
 // engine treats a round error as fatal for the run.
@@ -169,94 +130,117 @@ func (a *AsyncRunner) RunRoundStream(task, round int, jobs []Job, drain bool, ad
 		}
 		a.task = task
 	}
-
-	dp, pipelined := a.Inner.(Dispatcher)
-	var results []Result
-	if pipelined {
-		if err := dp.Dispatch(task, round, jobs); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		results, err = a.Inner.Run(jobs)
-		if err != nil {
-			return err
-		}
-		if len(results) != len(jobs) {
-			return fmt.Errorf("fl: inner runner returned %d results for %d jobs", len(results), len(jobs))
+	// delays[i] is job i's lag in rounds. The last round of a task has no
+	// later round to lag into, so the window closes: delays are void and
+	// every result is fresh.
+	delays := make([]int, len(jobs))
+	if a.Delay != nil && !drain {
+		for i := range jobs {
+			delays[i] = a.Delay(round, jobs[i].Spec)
 		}
 	}
-
-	// Older provenance aggregates first: the pending queue is appended in
-	// (origin, job-order) and filtering preserves that order, and every
-	// queued result predates this round's, so queue-then-current is the
-	// documented (Origin, job-order) admission order. In-flight pipelined
-	// results are awaited here — after this round's dispatch, so the
-	// transport overlaps the wait with the new round's training.
-	keep := a.pending[:0]
-	for _, p := range a.pending {
-		if drain || p.due <= round {
-			if p.inflight {
-				res, err := dp.Await(p.origin, p.index)
-				if err != nil {
-					return err
-				}
-				p.res, p.inflight = res, false
-			}
-			if err := admit(a.admit(p, round)); err != nil {
-				return err
-			}
-		} else {
-			keep = append(keep, p)
-		}
-	}
-	a.pending = keep
-
-	for i := range jobs {
-		d := 0
-		if a.Delay != nil {
-			d = a.Delay(round, jobs[i].Spec)
-		}
+	// settle routes job i's result by its delay: admitted now, dropped
+	// beyond the bound, or queued. Called in job order, so the queue stays
+	// in (origin, job-order).
+	settle := func(i int, res Result, inflight bool) error {
 		p := pendingResult{
 			origin:     round,
 			index:      i,
 			clientID:   jobs[i].Spec.ClientID,
 			baseWeight: jobs[i].Weight,
+			inflight:   inflight,
+			res:        res,
 		}
-		if drain || d <= 0 {
-			// The last round of a task has no later round to lag into, so
-			// the window closes: delays are void and the result is fresh.
-			if pipelined {
-				res, err := dp.Await(round, i)
-				if err != nil {
-					return err
-				}
-				p.res = res
-			} else {
-				p.res = results[i]
-			}
-			if err := admit(a.admit(p, round)); err != nil {
-				return err
-			}
-			continue
-		}
-		if d > a.Staleness {
+		switch d := delays[i]; {
+		case d <= 0:
+			return admit(a.admit(p, round))
+		case d > a.Staleness:
 			a.dropped++ // beyond the bound: discarded like a dropout
 			a.Telemetry.ResultDropped(round)
-			if pipelined {
+		default:
+			p.due = round + d
+			a.pending = append(a.pending, p)
+		}
+		return nil
+	}
+
+	if dp, ok := a.Inner.(Dispatcher); ok {
+		if err := dp.Dispatch(task, round, jobs); err != nil {
+			return err
+		}
+		// Queued results predate this round's, so they admit first. The
+		// in-flight ones are awaited after this round's dispatch, so the
+		// transport overlaps the wait with the new round's training.
+		if err := a.admitDue(round, drain, admit, dp); err != nil {
+			return err
+		}
+		for i, d := range delays {
+			var res Result
+			switch {
+			case d <= 0:
+				var err error
+				if res, err = dp.Await(round, i); err != nil {
+					return err
+				}
+			case d > a.Staleness:
 				dp.Discard(round, i)
 			}
-			continue
+			if err := settle(i, res, d > 0); err != nil {
+				return err
+			}
 		}
-		p.due = round + d
-		if pipelined {
-			p.inflight = true
-		} else {
-			p.res = results[i]
+	} else {
+		if err := a.admitDue(round, drain, admit, nil); err != nil {
+			return err
 		}
-		a.pending = append(a.pending, p)
+		next := 0
+		held := make(map[int]Result)
+		err := a.Inner.RunEach(jobs, func(i int, res Result) error {
+			held[i] = res
+			for {
+				res, ok := held[next]
+				if !ok {
+					return nil
+				}
+				delete(held, next)
+				if err := settle(next, res, false); err != nil {
+					return err
+				}
+				next++
+			}
+		})
+		if err != nil {
+			return err
+		}
+		if next != len(jobs) {
+			return fmt.Errorf("fl: runner completed %d of %d jobs", next, len(jobs))
+		}
 	}
 	a.Telemetry.QueueDepth(len(a.pending))
+	return nil
+}
+
+// admitDue admits every queued result due by round (all of them under
+// drain), in queue order, awaiting in-flight ones on dp.
+func (a *AsyncRunner) admitDue(round int, drain bool, admit func(TaggedResult) error, dp Dispatcher) error {
+	keep := a.pending[:0]
+	for _, p := range a.pending {
+		if !drain && p.due > round {
+			keep = append(keep, p)
+			continue
+		}
+		if p.inflight {
+			res, err := dp.Await(p.origin, p.index)
+			if err != nil {
+				return err
+			}
+			p.res, p.inflight = res, false
+		}
+		if err := admit(a.admit(p, round)); err != nil {
+			return err
+		}
+	}
+	a.pending = keep
 	return nil
 }
 
@@ -279,14 +263,14 @@ func (a *AsyncRunner) admit(p pendingResult, round int) TaggedResult {
 	return tr
 }
 
-// Run implements the plain synchronous Runner contract by delegating to
-// Inner, so an AsyncRunner satisfies every Runner-typed seam. The engine
-// never calls it — it detects StalenessRunner and uses RunRound.
-func (a *AsyncRunner) Run(jobs []Job) ([]Result, error) {
+// RunEach implements Runner by delegating to Inner, so an AsyncRunner can
+// be handed to NewEngineWithRunner. The engine never calls it: it admits
+// every round through RunRoundStream.
+func (a *AsyncRunner) RunEach(jobs []Job, done func(i int, res Result) error) error {
 	if a.Inner == nil {
-		return nil, fmt.Errorf("fl: async runner has no inner runner")
+		return fmt.Errorf("fl: async runner has no inner runner")
 	}
-	return a.Inner.Run(jobs)
+	return a.Inner.RunEach(jobs, done)
 }
 
 // Pending reports how many trained results are currently withheld.
@@ -357,8 +341,4 @@ func StragglerSleep(seed int64, prob float64, maxDelay int, unit time.Duration) 
 	}
 }
 
-var (
-	_ Runner                = (*AsyncRunner)(nil)
-	_ StalenessRunner       = (*AsyncRunner)(nil)
-	_ StreamStalenessRunner = (*AsyncRunner)(nil)
-)
+var _ Runner = (*AsyncRunner)(nil)

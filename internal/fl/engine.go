@@ -208,11 +208,11 @@ type client struct {
 // Engine runs federated domain-incremental learning over a task sequence.
 // Round execution is delegated to a pluggable Runner, so the same
 // federation mechanics drive an in-process worker pool and a TCP fan-out
-// across machines.
+// across machines; every round is admitted through one AsyncRunner.
 type Engine struct {
 	cfg     Config
 	alg     Algorithm
-	runner  Runner
+	runner  *AsyncRunner
 	rng     *rand.Rand
 	clients []*client
 	// family/domains describe the data of the current Run, for job specs.
@@ -251,8 +251,9 @@ func NewEngine(cfg Config, alg Algorithm) (*Engine, error) {
 
 // NewEngineWithRunner builds an engine that executes each round's jobs on
 // the given Runner. A networked runner must train replicas of the same
-// algorithm instance (see transport.NewRunner). A nil runner selects the
-// in-process LocalRunner over cfg.Workers.
+// algorithm instance (see transport.NewPipeline). A nil runner selects the
+// in-process LocalRunner over cfg.Workers. A runner that is not an
+// *AsyncRunner is wrapped in one with staleness 0: the synchronous round.
 func NewEngineWithRunner(cfg Config, alg Algorithm, runner Runner) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -263,7 +264,11 @@ func NewEngineWithRunner(cfg Config, alg Algorithm, runner Runner) (*Engine, err
 	if runner == nil {
 		runner = &LocalRunner{Alg: alg, Workers: cfg.Workers}
 	}
-	return &Engine{cfg: cfg, alg: alg, runner: runner, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
+	ar, ok := runner.(*AsyncRunner)
+	if !ok {
+		ar = &AsyncRunner{Inner: runner}
+	}
+	return &Engine{cfg: cfg, alg: alg, runner: ar, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
 // Run executes the full task sequence: for each domain, Rounds communication
@@ -443,91 +448,41 @@ func (e *Engine) advanceClients(t int, train *data.Dataset) error {
 }
 
 // runRound performs one communication round of Algorithm 1: random
-// selection, local training on isolated model replicas via the configured
-// Runner, FedAvg in selection order, and the method's server-side hook.
+// selection, local training on isolated model replicas via the runner,
+// FedAvg over the admitted results, and the method's server-side hook.
 //
 // Determinism at any worker count — and across runner implementations —
 // rests on three invariants: every draw on the engine RNG (selection,
 // dropout) happens before the fan-out, in selection order; each client
 // trains an isolated replica under its own deterministically seeded RNG,
-// touching no shared mutable state; and aggregation consumes updates in
-// selection order regardless of which worker finished first.
+// touching no shared mutable state; and the AsyncRunner admits results in
+// (origin round, job order) regardless of which worker finished first.
 //
-// A runner implementing StalenessRunner switches the round to bounded-
-// staleness bookkeeping: results may report into a later round of the same
-// task (see runRoundAsync). With a staleness bound of 0 the async path is
-// bit-identical to this one.
+// Each admitted result folds into the streaming FedAvg accumulator as it
+// is admitted, so the engine holds the running sums rather than every
+// client's dict. The task's last round drains the runner, so no result
+// crosses a task boundary. A round that admits nothing (every client
+// dropped out, or every result lags) leaves the global untouched.
 func (e *Engine) runRound(t, r int) error {
-	jobs := e.roundJobs(t, r)
-	if sr, ok := e.runner.(StalenessRunner); ok {
-		return e.runRoundAsync(sr, t, r, jobs)
-	}
-	if len(jobs) == 0 {
-		// Every selected client dropped out: the global was never mutated,
-		// so there is nothing to restore.
-		return nil
-	}
-
-	// Phase 2+3 interleaved where the runner can stream (parallel training,
-	// serial folding): each completed result folds into the streaming FedAvg
-	// accumulator the moment its job-order turn comes up, so the engine
-	// holds the running sums plus only the results that completed out of
-	// order — not every selected client's full dict until the round ends.
-	// The fold order is job order, never arrival order, which is what keeps
-	// streaming aggregation bit-identical to the batch WeightedAverage.
 	acc := NewAccumulator()
 	var uploads []Upload
-	fold := func(i int, res Result) error {
-		if err := acc.Fold(res.Dict, jobs[i].Weight); err != nil {
+	err := e.runner.RunRoundStream(t, r, e.roundJobs(t, r), r == e.cfg.Rounds-1, func(tr TaggedResult) error {
+		if tr.Origin < 0 || tr.Origin > r {
+			return fmt.Errorf("fl: round %d admitted a result from round %d", r, tr.Origin)
+		}
+		if err := acc.Fold(tr.Result.Dict, tr.Weight); err != nil {
 			return fmt.Errorf("fl: aggregating round %d: %w", r, err)
 		}
-		if res.Upload != nil {
-			uploads = append(uploads, res.Upload)
+		if tr.Result.Upload != nil {
+			uploads = append(uploads, tr.Result.Upload)
 		}
 		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if er, ok := e.runner.(EachRunner); ok {
-		next := 0
-		buffered := make(map[int]Result)
-		err := er.RunEach(jobs, func(i int, res Result) error {
-			if i != next {
-				buffered[i] = res
-				return nil
-			}
-			if err := fold(i, res); err != nil {
-				return err
-			}
-			for next++; ; next++ {
-				res, ok := buffered[next]
-				if !ok {
-					break
-				}
-				delete(buffered, next)
-				if err := fold(next, res); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if next != len(jobs) {
-			return fmt.Errorf("fl: runner completed %d of %d jobs", next, len(jobs))
-		}
-	} else {
-		results, err := e.runner.Run(jobs)
-		if err != nil {
-			return err
-		}
-		if len(results) != len(jobs) {
-			return fmt.Errorf("fl: runner returned %d results for %d jobs", len(results), len(jobs))
-		}
-		for i, res := range results {
-			if err := fold(i, res); err != nil {
-				return err
-			}
-		}
+	if acc.Folded() == 0 {
+		return nil
 	}
 	return e.install(t, r, acc, uploads)
 }
@@ -555,53 +510,6 @@ func (e *Engine) roundJobs(t, r int) []Job {
 		})
 	}
 	return jobs
-}
-
-// runRoundAsync is the bounded-staleness round: the runner decides which
-// results report now and which lag into a later round, and the engine
-// aggregates whatever was admitted — tracking each result's round of
-// origin and using its staleness-discounted weight. The task's last round
-// drains the runner, so no result crosses a task boundary. A round that
-// admits nothing (all results lagging) leaves the global untouched, like a
-// round where every client dropped out.
-func (e *Engine) runRoundAsync(sr StalenessRunner, t, r int, jobs []Job) error {
-	acc := NewAccumulator()
-	var uploads []Upload
-	admit := func(tr TaggedResult) error {
-		if tr.Origin < 0 || tr.Origin > r {
-			return fmt.Errorf("fl: round %d admitted a result from round %d", r, tr.Origin)
-		}
-		if err := acc.Fold(tr.Result.Dict, tr.Weight); err != nil {
-			return fmt.Errorf("fl: aggregating round %d: %w", r, err)
-		}
-		if tr.Result.Upload != nil {
-			uploads = append(uploads, tr.Result.Upload)
-		}
-		return nil
-	}
-	drain := r == e.cfg.Rounds-1
-	// Prefer the streaming admission path: admitted results fold into the
-	// accumulator one at a time, in the runner's (Origin, job-order)
-	// admission order, instead of buffering the whole admitted set.
-	if ssr, ok := sr.(StreamStalenessRunner); ok {
-		if err := ssr.RunRoundStream(t, r, jobs, drain, admit); err != nil {
-			return err
-		}
-	} else {
-		admitted, err := sr.RunRound(t, r, jobs, drain)
-		if err != nil {
-			return err
-		}
-		for _, tr := range admitted {
-			if err := admit(tr); err != nil {
-				return err
-			}
-		}
-	}
-	if acc.Folded() == 0 {
-		return nil
-	}
-	return e.install(t, r, acc, uploads)
 }
 
 // install is round phase 3's tail (serial): finalize the streaming FedAvg

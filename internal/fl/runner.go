@@ -35,32 +35,21 @@ type Result struct {
 	Upload Upload
 }
 
-// Runner executes all of one round's local-training jobs and returns their
-// results in job order. The contract every implementation must honour for
-// the engine's determinism guarantee:
+// Runner executes one round's local-training jobs, streaming each result
+// as it completes. The contract every implementation must honour for the
+// engine's determinism guarantee:
 //
-//   - results[i] corresponds to jobs[i], regardless of execution order or
-//     placement;
+//   - done(i, results[i]) fires exactly once per job, in any order;
+//     done calls are serialized, and an error from done cancels the
+//     remaining jobs like a training error;
 //   - each job trains an isolated replica of the algorithm's current global
 //     state (Spawn semantics), seeded only by its own Spec/Ctx;
 //   - no job observes another job's mutations.
 //
 // Under those rules the in-process worker pool and a TCP fan-out across
-// machines produce identical accuracy matrices for the same seed.
+// machines produce identical accuracy matrices for the same seed: the
+// engine's AsyncRunner folds results in job order, never arrival order.
 type Runner interface {
-	Run(jobs []Job) ([]Result, error)
-}
-
-// EachRunner is a Runner that can additionally stream per-job results as
-// they complete (LocalRunner.RunEach, the transport Runner). The engine
-// prefers it over Run for synchronous rounds: acks fold into the streaming
-// FedAvg Accumulator as they arrive instead of buffering every client's
-// full state dict until the round ends.
-type EachRunner interface {
-	Runner
-	// RunEach fires done(i, results[i]) once per job, in completion order
-	// (not job order); done calls are serialized. An error from done cancels
-	// the remaining jobs like a training error.
 	RunEach(jobs []Job, done func(i int, res Result) error) error
 }
 
@@ -78,7 +67,7 @@ type EachRunner interface {
 //   - Discard(round, i) drops the result (a staleness-bound drop) without
 //     blocking, whether or not it has arrived yet.
 //
-// Run remains the plain barrier form (Dispatch + Await all, in job order).
+// RunEach remains the plain barrier form (Dispatch, then Await every job).
 type Dispatcher interface {
 	Runner
 	Dispatch(task, round int, jobs []Job) error
@@ -247,7 +236,8 @@ type LocalRunner struct {
 	Workers int
 }
 
-// Run implements Runner. The first error wins; remaining jobs are drained.
+// Run is the batch form of RunEach: it returns every job's result in job
+// order. The first error wins; remaining jobs are drained.
 func (lr *LocalRunner) Run(jobs []Job) ([]Result, error) {
 	results := make([]Result, len(jobs))
 	err := lr.RunEach(jobs, func(i int, res Result) error {
@@ -260,13 +250,13 @@ func (lr *LocalRunner) Run(jobs []Job) ([]Result, error) {
 	return results, nil
 }
 
-// RunEach is the streaming form of Run: done(i, results[i]) fires once per
-// job as it completes — in completion order, not job order — so callers
-// can forward per-job acknowledgements (the transport executor streams
-// each finished job back to the coordinator this way, which is what makes
-// survivor re-queue placement bookkeeping possible). done calls are
-// serialized under an internal lock; an error returned from done cancels
-// the remaining jobs exactly like a training error.
+// RunEach implements Runner: done(i, results[i]) fires once per job as it
+// completes — in completion order, not job order — so callers can forward
+// per-job acknowledgements (the transport executor streams each finished
+// job back to the coordinator this way, which is what makes survivor
+// re-queue placement bookkeeping possible). done calls are serialized
+// under an internal lock; an error returned from done cancels the
+// remaining jobs exactly like a training error.
 func (lr *LocalRunner) RunEach(jobs []Job, done func(i int, res Result) error) error {
 	if lr.Alg == nil {
 		return fmt.Errorf("fl: local runner has no algorithm")
@@ -346,7 +336,4 @@ func (lr *LocalRunner) RunEach(jobs []Job, done func(i int, res Result) error) e
 	return firstErr
 }
 
-var (
-	_ Runner     = (*LocalRunner)(nil)
-	_ EachRunner = (*LocalRunner)(nil)
-)
+var _ Runner = (*LocalRunner)(nil)

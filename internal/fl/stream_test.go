@@ -157,8 +157,8 @@ type fakeDispatcher struct {
 	results map[[2]int]Result
 }
 
-func (f *fakeDispatcher) Run(jobs []Job) ([]Result, error) {
-	return nil, fmt.Errorf("fakeDispatcher: barrier Run must not be used")
+func (f *fakeDispatcher) RunEach([]Job, func(int, Result) error) error {
+	return fmt.Errorf("fakeDispatcher: barrier RunEach must not be used")
 }
 
 func (f *fakeDispatcher) Dispatch(task, round int, jobs []Job) error {
@@ -203,7 +203,7 @@ func TestAsyncRunnerPipelinedDispatcher(t *testing.T) {
 		Staleness: 1,
 		Delay:     delayByClient(map[int]int{1: 1, 9: 2}),
 	}
-	admitted, err := ar.RunRound(0, 0, []Job{asyncJob(1, 0, 10), asyncJob(2, 0, 20), asyncJob(9, 0, 5)}, false)
+	admitted, err := collectRound(ar, 0, 0, []Job{asyncJob(1, 0, 10), asyncJob(2, 0, 20), asyncJob(9, 0, 5)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestAsyncRunnerPipelinedDispatcher(t *testing.T) {
 		t.Fatalf("pending=%d dropped=%d after round 0, want 1/1", ar.Pending(), ar.Dropped())
 	}
 
-	admitted, err = ar.RunRound(0, 1, []Job{asyncJob(3, 1, 40)}, true)
+	admitted, err = collectRound(ar, 0, 1, []Job{asyncJob(3, 1, 40)}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

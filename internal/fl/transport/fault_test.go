@@ -125,7 +125,7 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 	}
 
 	alg := newAlg()
-	runner, err := transport.NewRunner(coord, alg)
+	runner, err := transport.NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +148,15 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 	}
 	if codec != "" {
 		// The whole crashed-and-requeued run — including the survivor's
-		// re-executions, which diff against the survivor's own base — must
-		// have used delta-encoded uploads throughout (protocol v5).
+		// replayed re-executions, which diff against the replayed origin
+		// state — must have used delta-encoded uploads throughout.
 		requireAllPatchUploads(t, runner.Stats())
 	}
 	if err := <-killErr; err == nil {
 		t.Fatal("killed worker's Serve returned nil — the crash was never injected")
+	}
+	if err := runner.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -173,15 +176,14 @@ func runTCPWithCrash(t *testing.T, method string, family *data.Family, domains [
 //
 // The delta-codec cases re-run the crash under delta broadcast *and*
 // delta-encoded uploads (protocol v5): the coordinator drops the dead
-// worker's base tracking, the survivor's follow-up broadcast for the same
-// round carries no state (it is already at the round's version), the
-// survivor's re-executed jobs upload patches against the survivor's *own*
-// base — which the coordinator mirrors per slot, so the reconstruction is
-// exact — and, for LwF, the teacher payload it loaded at task start must
-// serve the re-executed job unchanged. Bit-identical matrices prove the
-// re-queue/delta interaction loses nothing in either wire direction; the
-// runs additionally assert every upload was a patch (no silent full-state
-// fallback).
+// worker's base tracking, the survivor receives the unfinished jobs as a
+// Replay carrying the round's full state and wire-state payload out of
+// band, its re-executed jobs upload patches against that replayed state —
+// which the coordinator retains per round, so the reconstruction is exact
+// — and its own version stream resumes untouched afterwards. Bit-identical
+// matrices prove the re-queue/delta interaction loses nothing in either
+// wire direction; the runs additionally assert every upload was a patch
+// (no silent full-state fallback).
 func TestFaultInjectionCrashMidRound(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {

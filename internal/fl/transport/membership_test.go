@@ -125,7 +125,7 @@ func TestLateJoinMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := transport.NewRunner(coord, alg)
+	runner, err := transport.NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +153,9 @@ func TestLateJoinMidRun(t *testing.T) {
 	}
 	if lateTrained == nil || lateTrained.Load() == 0 {
 		t.Fatal("late joiner trained no jobs — it was never dispatched to")
+	}
+	if err := runner.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -252,7 +255,7 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 			surviveErr, _ := dialServe(t, coord, "reffil", family, len(domains), 1)
 
 			alg := newAlg()
-			runner, err := transport.NewRunner(coord, alg)
+			runner, err := transport.NewPipeline(coord, alg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,6 +287,9 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 			if codec != "" {
 				requireAllPatchUploads(t, runner.Stats())
 			}
+			if err := runner.Close(); err != nil {
+				t.Fatal(err)
+			}
 			if err := coord.Shutdown(); err != nil {
 				t.Fatal(err)
 			}
@@ -294,6 +300,107 @@ func TestDeadWorkerRedialRejoins(t *testing.T) {
 				t.Fatalf("surviving worker: %v", err)
 			}
 		})
+	}
+}
+
+// TestJoinWaitCoversLastWorkerDeath kills the only worker mid-round: with
+// no survivor to re-queue on, the Pipeline's JoinWait must hold the
+// unfinished jobs until the same process re-dials into a fresh slot, replay
+// them there, and finish the run bit-identically.
+func TestJoinWaitCoversLastWorkerDeath(t *testing.T) {
+	family, err := data.NewFamily("pacs", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := family.Domains[:2]
+	want := localReference(t, "reffil", family, domains)
+
+	coord, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	newAlg := func() fl.Algorithm {
+		alg, err := experiments.NewMethodFromFlag("reffil", model.DefaultConfig(family.Classes), len(domains), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return alg
+	}
+
+	ex, err := transport.NewExecutor(newAlg(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := transport.Dial(coord.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejoinErr := make(chan error, 1)
+	go func() {
+		err := w.Serve(func(b transport.Broadcast, emit func(transport.JobResult) error) error {
+			if b.Task != 0 || b.Round != 1 || b.Replay != nil {
+				return ex.Handle(b, emit)
+			}
+			return ex.Handle(b, func(jr transport.JobResult) error {
+				if err := emit(jr); err != nil {
+					return err
+				}
+				if err := w.Close(); err != nil {
+					return err
+				}
+				return fmt.Errorf("injected crash after first ack")
+			})
+		})
+		_ = w.Close()
+		if err == nil {
+			rejoinErr <- fmt.Errorf("crashed worker's first Serve returned nil")
+			return
+		}
+		// Re-dial only once the coordinator has marked the slot dead, so
+		// the Pipeline finds no survivor for the unfinished jobs and has
+		// to wait for this join.
+		for coord.NumLive() != 0 {
+			time.Sleep(time.Millisecond)
+		}
+		w2, err := transport.Dial(coord.Addr(), 0)
+		if err != nil {
+			rejoinErr <- err
+			return
+		}
+		defer w2.Close()
+		rejoinErr <- w2.Serve(ex.Handle)
+	}()
+	if err := coord.Accept(1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	alg := newAlg()
+	runner, err := transport.NewPipeline(coord, alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner.JoinWait = 10 * time.Second
+	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := eng.Run(family, domains)
+	if err != nil {
+		t.Fatalf("run whose only worker died mid-round failed instead of waiting for its re-join: %v", err)
+	}
+	requireSameMatrix(t, "join-wait", want, mat.A)
+	if got := coord.NumWorkers(); got != 2 {
+		t.Fatalf("coordinator slots = %d, want 2 (crashed + re-joined)", got)
+	}
+	if err := runner.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-rejoinErr; err != nil {
+		t.Fatalf("re-joined worker: %v", err)
 	}
 }
 
@@ -354,7 +461,7 @@ func TestHeartbeatDetectsWedgedWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := transport.NewRunner(coord, alg)
+	runner, err := transport.NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,6 +483,9 @@ func TestHeartbeatDetectsWedgedWorker(t *testing.T) {
 	// bounded time rather than hanging on the silent slot.
 	if elapsed := time.Since(start); elapsed > 2*time.Minute {
 		t.Fatalf("run took %v — wedge detection did not bound the wait", elapsed)
+	}
+	if err := runner.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -420,7 +530,7 @@ func TestCoordinatorResumeOverTCP(t *testing.T) {
 		w0, _ := dialServe(t, coord, "reffil", family, len(domains), 0)
 		w1, _ := dialServe(t, coord, "reffil", family, len(domains), 1)
 		alg := newAlg()
-		runner, err := transport.NewRunner(coord, alg)
+		runner, err := transport.NewPipeline(coord, alg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,6 +547,9 @@ func TestCoordinatorResumeOverTCP(t *testing.T) {
 		}
 		if _, err := eng.Run(family, domains); !errors.Is(err, errKilled) {
 			t.Fatalf("phase-1 run returned %v, want the injected kill", err)
+		}
+		if err := runner.Close(); err != nil {
+			t.Fatal(err)
 		}
 		if err := coord.Close(); err != nil {
 			t.Fatal(err)
@@ -459,7 +572,7 @@ func TestCoordinatorResumeOverTCP(t *testing.T) {
 	w0, _ := dialServe(t, coord, "reffil", family, len(domains), 0)
 	w1, _ := dialServe(t, coord, "reffil", family, len(domains), 1)
 	alg := newAlg()
-	runner, err := transport.NewRunner(coord, alg)
+	runner, err := transport.NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,6 +586,9 @@ func TestCoordinatorResumeOverTCP(t *testing.T) {
 		t.Fatalf("resumed run failed: %v", err)
 	}
 	requireSameMatrix(t, "resumed", want, mat.A)
+	if err := runner.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,46 +12,54 @@ import (
 	"reffil/internal/tensor"
 )
 
-// Pipeline is the pipelined transport runner (protocol v6): it decouples
-// the barrier Runner's dispatch and collection paths so the coordinator can
-// broadcast round r+1 while round r's acks are still in flight. Each worker
-// slot gets an independent send queue and a dedicated collector goroutine;
-// the wire Tracker mirror for a slot advances at send time — per slot, not
-// per completed round — so successive delta frames chain correctly even
-// when several rounds' acks are outstanding on one connection.
+// Pipeline is the transport-backed fl.Runner (protocol v6): it fans each
+// round's jobs out across the coordinator's live workers over TCP and maps
+// the per-job acks back to (round, job index), so an fl.Engine built on it
+// runs every paper scenario multi-node with the same mechanics — and the
+// same numbers — as the in-process pool. Dispatch and collection are
+// decoupled, so the coordinator can broadcast round r+1 while round r's
+// acks are still in flight. Each worker slot gets an independent send
+// queue and a dedicated collector goroutine; the wire Tracker mirror for a
+// slot advances at send time — per slot, not per completed round — so
+// successive delta frames chain correctly even when several rounds' acks
+// are outstanding on one connection.
 //
-// Pipeline implements three engine-facing contracts:
+// Per round each live worker gets a versioned wire.Frame: under the full
+// codec the complete state dict plus the method's encoded wire state
+// (fl.WireStater); under the delta codecs (UseCodec) a per-key diff
+// against the base version the worker holds, with the wire-state payload
+// re-sent only when its bytes change, and a full snapshot for a worker
+// with no usable base. Under those same delta codecs each ack carries a
+// lossless patch against the worker's broadcast base (protocol v5), which
+// the Pipeline previews per slot when it builds the frame. Jobs are
+// assigned round-robin by worker slot; assignment never affects results.
 //
-//   - fl.Dispatcher: Dispatch fans a round out and returns as soon as the
-//     broadcasts are on the wire; Await blocks for one job's result;
-//     Discard drops one. This is the pipelined path: fl.AsyncRunner leaves
-//     results its Delay policy marks as lagging in flight on the transport
-//     — the worker computes them while later rounds dispatch — and awaits
-//     them only at their admission round, turning simulated staleness into
-//     real wall-clock overlap.
-//   - fl.Runner / fl.EachRunner: Run and RunEach are the barrier form —
-//     Dispatch immediately followed by Await of every job in order. Used
-//     directly (no AsyncRunner), Pipeline behaves exactly like the barrier
-//     Runner and stays bit-identical to the in-process engine.
+// Pipeline implements fl.Dispatcher: Dispatch fans a round out and returns
+// as soon as the broadcasts are on the wire; Await blocks for one job's
+// result; Discard drops one. fl.AsyncRunner leaves results its Delay
+// policy marks as lagging in flight on the transport — the worker computes
+// them while later rounds dispatch — and awaits them only at their
+// admission round, turning simulated staleness into real wall-clock
+// overlap. RunEach is the barrier form: Dispatch, then Await every job in
+// order.
 //
-// Re-queue-on-death must handle a dead worker holding jobs from several
-// live rounds: each queued batch remembers its origin round, and the
-// unfinished jobs re-queue on survivors as Replay broadcasts carrying the
-// origin round's retained state out of band (the survivor's own version
-// stream may already be past — or not yet at — that round). Replays do not
-// touch the survivor's tracker mirror.
+// A worker connection dying mid-round does not fail the round: the dead
+// worker's acknowledged results are kept and its unfinished jobs —
+// possibly from several live rounds — re-queue round-robin on the
+// survivors as Replay broadcasts carrying the origin round's retained
+// state out of band (the survivor's own version stream may already be
+// past — or not yet at — that round). Replays do not touch the survivor's
+// tracker mirror. Only connection failures re-queue; an error the worker
+// itself reports is deterministic and fails the run. A dead worker's base
+// tracking is dropped with it, so any re-join starts from a full snapshot.
 //
 // Determinism: job results are identified by (round, job index), and the
-// engine folds them in job-index order regardless of arrival order, so a
-// Pipeline run admits exactly the results a barrier run would, in the same
-// order, with the same bits — AsyncRunner{S:0} over a Pipeline matches the
-// synchronous local engine bit for bit.
+// engine folds them in job-index order regardless of arrival order, so
+// AsyncRunner{S:0} over a Pipeline matches the synchronous local engine
+// bit for bit under any lossless codec.
 type Pipeline struct {
 	coord *Coordinator
 	alg   fl.Algorithm
-	// Requeue enables survivor re-queue of a dead worker's unfinished jobs
-	// (Replay broadcasts). When false, a worker death fails the run.
-	Requeue bool
 	// OnRound, when non-nil, receives each round's wire statistics once its
 	// last ack lands. Called from a collector goroutine, outside the
 	// pipeline's locks; rounds can complete out of dispatch order.
@@ -59,37 +67,40 @@ type Pipeline struct {
 	// OnDispatch, when non-nil, fires after a round's broadcasts are all on
 	// the wire (tests use it to observe overlap deterministically).
 	OnDispatch func(task, round int)
-	// JoinWait, when positive, is how long Dispatch waits for the
-	// coordinator's background accept loop to admit a worker (elastic
-	// membership, v7) when no slot is live, before failing the round. Zero
-	// keeps the fail-fast behaviour.
+	// JoinWait, when positive, is how long a round with no live slot —
+	// at dispatch, or when its last worker dies holding unfinished jobs —
+	// waits for the coordinator's background accept loop to admit a
+	// worker (elastic membership, v7) before failing. Zero keeps the
+	// fail-fast behaviour.
 	JoinWait time.Duration
 	// Telemetry, when non-nil, receives round observations, per-worker ack
 	// latencies, death and requeue events. Set before the first Dispatch;
 	// nil (the default) keeps the hot path allocation-free.
 	Telemetry *telemetry.Sink
 
-	// tmu guards enc, started, trackers and stats (same discipline as the
-	// barrier Runner). Never acquired while holding mu's critical work —
-	// the only nesting is mu→tmu in finishRound.
+	// tmu guards enc, started and trackers; tracker structs are only
+	// mutated under it too. mu and tmu never nest: frame building holds
+	// tmu alone, so collectors are never blocked behind encoding.
 	tmu      sync.Mutex
 	enc      *wire.Encoder
 	trackers map[int]*wire.Tracker
-	stats    Stats
 	started  bool
 
-	// mu guards the flight table, per-round state, per-slot queues and the
-	// fatal flag; cond (on mu) wakes Await when a flight settles.
+	// mu guards the flight table, per-round state, per-slot queues, the
+	// statistics and the fatal flag; cond (on mu) wakes Await when a
+	// flight settles.
 	mu      sync.Mutex
 	cond    *sync.Cond
 	flights map[flightKey]*flight
 	rounds  map[int]*roundFlight
 	slots   map[int]*slotState
+	stats   Stats
 	fatal   error
 	closed  bool
 	// startIn/startOut snapshot the coordinator's byte counters at the
-	// first dispatch, so Stats can report exact cumulative totals even
-	// though overlapping rounds make per-round byte splits approximate.
+	// first dispatch (everStarted), so Stats reports exact cumulative
+	// totals even though overlapping rounds make per-round splits
+	// approximate.
 	startIn, startOut int64
 	everStarted       bool
 }
@@ -107,15 +118,19 @@ type flight struct {
 
 // roundFlight is the coordinator-side state of one dispatched round, kept
 // until its last ack lands: the canonical state (for replays after worker
-// deaths), the wire-state payload, and the round's statistics. Memory is
-// bounded by the staleness window — at most S+1 rounds are in flight.
+// deaths), the wire-state payload, the codec its frames were built with,
+// and the round's statistics. Memory is bounded by the staleness window —
+// at most S+1 rounds are in flight.
 type roundFlight struct {
 	task, round int
 	dict        map[string]*tensor.Tensor
 	payload     []byte
+	codec       string
 	remaining   int
 	rs          RoundStats
 	start       time.Time
+	startIn     int64 // coordinator byte counters at dispatch start
+	startOut    int64
 	overlapFrom time.Time // zero until a later round dispatches
 	lastAck     time.Time
 }
@@ -140,8 +155,11 @@ type slotState struct {
 	dead       bool
 }
 
-// NewPipeline wraps a coordinator and the engine's algorithm instance, like
-// NewRunner but for pipelined rounds. Re-queueing starts enabled.
+// NewPipeline wraps a coordinator and the engine's algorithm instance. The
+// algorithm must be the same instance the fl.Engine aggregates into —
+// Dispatch reads its Global() state and wire state at each round's start.
+// The codec starts as "full" (complete snapshots); call UseCodec before the
+// first round to switch to delta broadcast.
 func NewPipeline(coord *Coordinator, alg fl.Algorithm) (*Pipeline, error) {
 	if coord == nil {
 		return nil, fmt.Errorf("transport: pipeline needs a coordinator")
@@ -156,7 +174,6 @@ func NewPipeline(coord *Coordinator, alg fl.Algorithm) (*Pipeline, error) {
 	p := &Pipeline{
 		coord:    coord,
 		alg:      alg,
-		Requeue:  true,
 		enc:      enc,
 		trackers: make(map[int]*wire.Tracker),
 		flights:  make(map[flightKey]*flight),
@@ -167,8 +184,11 @@ func NewPipeline(coord *Coordinator, alg fl.Algorithm) (*Pipeline, error) {
 	return p, nil
 }
 
-// UseCodec selects the broadcast codec by registry name (full|delta|topk),
-// before the first dispatch only — exactly like Runner.UseCodec.
+// UseCodec selects the broadcast codec by registry name (full|delta|topk).
+// It must be called before the first round: switching codecs mid-run would
+// invalidate the per-worker base tracking. The started check and the
+// encoder swap hold tmu, so a UseCodec racing a Dispatch either installs
+// its encoder before the round pins one or errors.
 func (p *Pipeline) UseCodec(name string) error {
 	codec, err := wire.New(name)
 	if err != nil {
@@ -195,23 +215,14 @@ func (p *Pipeline) Codec() string {
 }
 
 // Stats returns the cumulative wire accounting across completed rounds.
-// Byte totals are exact socket deltas since the first dispatch; the
-// per-round byte split in RoundStats is approximate under overlap (a
-// round's collection window carries other rounds' traffic too).
+// Byte totals are the exact socket deltas from the first dispatch to the
+// latest round completion — the same snapshot the telemetry byte counters
+// mirror; the per-round byte split in RoundStats is approximate under
+// overlap (a round's collection window carries other rounds' traffic too).
 func (p *Pipeline) Stats() Stats {
 	p.mu.Lock()
-	ever := p.everStarted
-	startIn, startOut := p.startIn, p.startOut
-	p.mu.Unlock()
-	p.tmu.Lock()
-	st := p.stats
-	p.tmu.Unlock()
-	if ever {
-		in, out := p.coord.BytesTransferred()
-		st.UploadBytes = in - startIn
-		st.BroadcastBytes = out - startOut
-	}
-	return st
+	defer p.mu.Unlock()
+	return p.stats
 }
 
 // Close wakes every blocked Await with an error and stops the collectors
@@ -261,6 +272,8 @@ func (p *Pipeline) Dispatch(task, round int, jobs []fl.Job) error {
 			return fmt.Errorf("transport: encoding wire state: %w", err)
 		}
 	}
+	// Mark the run started and pin this round's encoder in one critical
+	// section (see UseCodec).
 	p.tmu.Lock()
 	p.started = true
 	enc := p.enc
@@ -307,18 +320,20 @@ func (p *Pipeline) Dispatch(task, round int, jobs []fl.Job) error {
 	}
 	rf := &roundFlight{
 		task: task, round: round,
-		dict: enc.Dict(), payload: payload,
-		remaining: len(jobs),
+		dict: enc.Dict(), payload: payload, codec: codecName,
+		// One count per job plus one for this dispatch: a round cannot
+		// finish, and report its statistics, before its sends complete.
+		remaining: len(jobs) + 1,
 		rs:        RoundStats{Task: task, Round: round, Attempts: 1},
 		start:     start,
 	}
+	rf.startIn, rf.startOut = p.coord.BytesTransferred()
 	p.rounds[round] = rf
 	for i := range jobs {
 		p.flights[flightKey{round, i}] = &flight{}
 	}
 	// Every older round still collecting now overlaps this dispatch: the
-	// time from here to its last ack is wall-clock the barrier would have
-	// serialized.
+	// time from here to its last ack runs concurrently with this round.
 	for r0, old := range p.rounds {
 		if r0 != round && old.overlapFrom.IsZero() {
 			old.overlapFrom = start
@@ -373,16 +388,8 @@ func (p *Pipeline) Dispatch(task, round int, jobs []fl.Job) error {
 	}
 	p.tmu.Unlock()
 
+	p.mu.Lock()
 	for _, o := range outs {
-		specs := make([]fl.JobSpec, len(o.idxs))
-		keys := make([]flightKey, len(o.idxs))
-		for k, ji := range o.idxs {
-			specs[k] = jobs[ji].Spec
-			keys[k] = flightKey{round, ji}
-		}
-		b := &batch{round: round, specs: specs, keys: keys, base: o.base}
-		bc := Broadcast{Task: task, Round: round, Frame: *o.frame, Codec: codecName, Jobs: specs}
-		p.mu.Lock()
 		switch o.frame.Kind {
 		case wire.KindFull:
 			rf.rs.FullFrames++
@@ -394,7 +401,18 @@ func (p *Pipeline) Dispatch(task, round int, jobs []fl.Job) error {
 		case wire.KindNone:
 			rf.rs.IdleFrames++
 		}
-		p.mu.Unlock()
+	}
+	p.mu.Unlock()
+
+	for _, o := range outs {
+		specs := make([]fl.JobSpec, len(o.idxs))
+		keys := make([]flightKey, len(o.idxs))
+		for k, ji := range o.idxs {
+			specs[k] = jobs[ji].Spec
+			keys[k] = flightKey{round, ji}
+		}
+		b := &batch{round: round, specs: specs, keys: keys, base: o.base}
+		bc := Broadcast{Task: task, Round: round, Frame: *o.frame, Codec: codecName, Jobs: specs}
 		if err := p.sendBatch(o.slot, b, bc); err != nil {
 			// The slot died on send: its tracker is gone and its queued
 			// jobs (this batch included) re-queue on the survivors.
@@ -405,7 +423,11 @@ func (p *Pipeline) Dispatch(task, round int, jobs []fl.Job) error {
 	p.mu.Lock()
 	rf.rs.DispatchNanos = time.Since(start).Nanoseconds()
 	err := p.fatal
+	finished := p.release(rf)
 	p.mu.Unlock()
+	if finished != nil && p.OnRound != nil {
+		p.OnRound(*finished)
+	}
 	if p.OnDispatch != nil && err == nil {
 		p.OnDispatch(task, round)
 	}
@@ -509,10 +531,11 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 			rf.rs.PatchUploads++
 		} else {
 			rf.rs.StateUploads++
-			if p.Codec() != wire.CodecFull {
+			if rf.codec != wire.CodecFull {
 				rf.rs.UploadFallbacks++
 			}
 		}
+		var finished *RoundStats
 		fl0, open := p.flights[key]
 		if open && !fl0.done {
 			// Decode under mu: wire.Decode and FromWire are pure, but the
@@ -537,48 +560,41 @@ func (p *Pipeline) collect(slot int, st *slotState) {
 				rf.rs.FirstAckNanos = nanos
 			}
 			rf.rs.LastAckNanos = nanos
-			rf.remaining--
 			p.Telemetry.ObserveAck(slot, time.Duration(nanos))
+			finished = p.release(rf)
 		}
 		b.acked++
-		var finished *RoundStats
-		var finStart time.Time
-		var baseIn, baseOut int64
-		if rf.remaining == 0 {
-			finished = p.finishRound(b.round, rf)
-			finStart = rf.start
-			baseIn, baseOut = p.startIn, p.startOut
-		}
 		p.cond.Broadcast()
 		p.mu.Unlock()
-		if finished != nil {
-			if p.Telemetry != nil {
-				// Mirror the cumulative socket totals, not a per-round split:
-				// under overlap a round's collection window carries other
-				// rounds' traffic too (see Stats).
-				in, out := p.coord.BytesTransferred()
-				p.Telemetry.ObserveRound(finished.observation(finStart, true, out-baseOut, in-baseIn))
-			}
-			if p.OnRound != nil {
-				p.OnRound(*finished)
-			}
+		if finished != nil && p.OnRound != nil {
+			p.OnRound(*finished)
 		}
 	}
 }
 
-// finishRound finalizes a round whose last ack landed: compute its overlap
-// span, fold its statistics into the cumulative totals, and release its
-// retained state. Called with mu held; the returned stats are delivered to
-// OnRound outside the lock.
-func (p *Pipeline) finishRound(round int, rf *roundFlight) *RoundStats {
+// release drops one of rf's outstanding counts — a job's first ack, or
+// the dispatch itself — and finishes the round when none is left: compute
+// its overlap span and byte counts, fold its statistics into the
+// cumulative totals, report it to telemetry, and drop its retained state.
+// Called with mu held, so cumulative snapshots are taken — and mirrored
+// into telemetry — in completion order; a non-nil result is the finished
+// round's stats, for the caller to deliver to OnRound outside the lock.
+func (p *Pipeline) release(rf *roundFlight) *RoundStats {
+	if rf.remaining--; rf.remaining > 0 {
+		return nil
+	}
 	if !rf.overlapFrom.IsZero() && rf.lastAck.After(rf.overlapFrom) {
 		rf.rs.OverlapNanos = rf.lastAck.Sub(rf.overlapFrom).Nanoseconds()
 	}
-	delete(p.rounds, round)
+	in, out := p.coord.BytesTransferred()
+	rf.rs.BroadcastBytes, rf.rs.UploadBytes = out-rf.startOut, in-rf.startIn
+	delete(p.rounds, rf.round)
 	rs := rf.rs
-	p.tmu.Lock()
 	p.stats.add(rs)
-	p.tmu.Unlock()
+	// Cumulative totals are the socket counters, not the sum of per-round
+	// splits: under overlap a round's window carries other rounds' traffic.
+	p.stats.BroadcastBytes, p.stats.UploadBytes = out-p.startOut, in-p.startIn
+	p.Telemetry.ObserveRound(rs.observation(rf.start, p.stats.BroadcastBytes, p.stats.UploadBytes))
 	return &rs
 }
 
@@ -641,12 +657,22 @@ func (p *Pipeline) workerDied(slot int) {
 		p.mu.Unlock()
 		return
 	}
-	if !p.Requeue {
-		p.failLocked(fmt.Errorf("transport: worker %d died with jobs unfinished (re-queue disabled)", slot))
-		p.mu.Unlock()
-		return
-	}
 	survivors := p.coord.liveSlots()
+	if len(survivors) == 0 && p.JoinWait > 0 {
+		// Elastic membership: wait out a re-dial. The unfinished jobs keep
+		// their rounds open meanwhile, and a fresh slot needs no base: a
+		// replay carries the origin state.
+		p.mu.Unlock()
+		err := p.coord.AwaitLive(1, p.JoinWait)
+		p.mu.Lock()
+		if p.closed || p.fatal != nil {
+			p.mu.Unlock()
+			return
+		}
+		if err == nil {
+			survivors = p.coord.liveSlots()
+		}
+	}
 	if len(survivors) == 0 {
 		p.failLocked(fmt.Errorf("transport: no live workers with jobs unfinished"))
 		p.mu.Unlock()
@@ -654,7 +680,6 @@ func (p *Pipeline) workerDied(slot int) {
 	}
 	// Build one replay plan per (origin round, survivor) pair while the
 	// round state is pinned under mu; send outside it.
-	codecName := p.Codec()
 	type replaySend struct {
 		slot int
 		b    *batch
@@ -699,7 +724,7 @@ func (p *Pipeline) workerDied(slot int) {
 				bc: Broadcast{
 					Task:   rf.task,
 					Round:  rd.round,
-					Codec:  codecName,
+					Codec:  rf.codec,
 					Jobs:   specs,
 					Replay: replay,
 				},
@@ -715,6 +740,65 @@ func (p *Pipeline) workerDied(slot int) {
 			p.workerDied(rs.slot)
 		}
 	}
+}
+
+// uploadBase previews the state dict the worker holding tracker state t
+// will hold after applying f — the base its v5 upload patches diff
+// against. For a lossless codec at the current version that is the
+// canonical round dict itself (bit-identical by the definition of
+// lossless, and shared rather than re-decoded); for lossy codecs the
+// frame's patch is replayed exactly as the worker will replay it. KindNone
+// frames leave the worker on whatever base it already holds.
+func uploadBase(enc *wire.Encoder, t *wire.Tracker, f *wire.Frame) (map[string]*tensor.Tensor, error) {
+	if f.Kind == wire.KindNone {
+		return t.Dict, nil
+	}
+	if enc.Codec().Lossless() && f.Version == enc.Version() {
+		return enc.Dict(), nil
+	}
+	base := t.Dict
+	if f.Kind == wire.KindFull {
+		base = nil
+	}
+	return wire.Decode(base, &f.Patch)
+}
+
+// decodeResult converts one acked JobResult into an fl.Result. base is the
+// broadcast base the sending worker diffed a patch upload against — its
+// post-frame state, previewed per slot when the frame was built (or, for a
+// replay, the origin round's state). Callers hold the Pipeline's mu: the
+// method's DecodeUpload is not documented concurrency-safe.
+func decodeResult(alg fl.Algorithm, jr JobResult, base map[string]*tensor.Tensor) (fl.Result, error) {
+	var dict map[string]*tensor.Tensor
+	var err error
+	switch {
+	case jr.Patch != nil && jr.State != nil:
+		return fl.Result{}, fmt.Errorf("ack carries both a full state and a patch")
+	case jr.Patch != nil:
+		dict, err = wire.Decode(base, jr.Patch)
+		if err != nil {
+			return fl.Result{}, fmt.Errorf("upload patch: %w", err)
+		}
+	case jr.State != nil:
+		dict, err = FromWire(jr.State)
+		if err != nil {
+			return fl.Result{}, fmt.Errorf("state: %w", err)
+		}
+	default:
+		return fl.Result{}, fmt.Errorf("ack carries neither a state dict nor a patch")
+	}
+	var up fl.Upload
+	if len(jr.Upload) > 0 {
+		uc, ok := alg.(fl.UploadCoder)
+		if !ok {
+			return fl.Result{}, fmt.Errorf("worker sent an upload but %s cannot decode uploads", alg.Name())
+		}
+		up, err = uc.DecodeUpload(jr.Upload)
+		if err != nil {
+			return fl.Result{}, fmt.Errorf("upload: %w", err)
+		}
+	}
+	return fl.Result{Dict: dict, Upload: up}, nil
 }
 
 // Await implements fl.Dispatcher: block until job index of the given
@@ -763,23 +847,8 @@ func (p *Pipeline) Discard(round, index int) {
 	fl0.discard = true
 }
 
-// Run implements fl.Runner: the barrier form — dispatch, then await every
-// job in order. Behaviorally identical to the barrier Runner (and
-// bit-identical under any lossless codec).
-func (p *Pipeline) Run(jobs []fl.Job) ([]fl.Result, error) {
-	results := make([]fl.Result, len(jobs))
-	err := p.RunEach(jobs, func(i int, res fl.Result) error {
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RunEach implements fl.EachRunner: dispatch, then await and hand over
-// each job in job order (the engine's fold order).
+// RunEach implements fl.Runner in the barrier form: dispatch, then await
+// and hand over each job in job order.
 func (p *Pipeline) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error) error {
 	if len(jobs) == 0 {
 		return nil
@@ -800,8 +869,4 @@ func (p *Pipeline) RunEach(jobs []fl.Job, done func(i int, res fl.Result) error)
 	return nil
 }
 
-var (
-	_ fl.Runner     = (*Pipeline)(nil)
-	_ fl.EachRunner = (*Pipeline)(nil)
-	_ fl.Dispatcher = (*Pipeline)(nil)
-)
+var _ fl.Dispatcher = (*Pipeline)(nil)

@@ -7,7 +7,6 @@ package transport_test
 import (
 	"encoding/gob"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -25,77 +24,9 @@ import (
 // that worker's Executor.
 func runTCPPipelined(t *testing.T, method string, family *data.Family, domains []string, nWorkers, staleness int, delay func(round int, spec fl.JobSpec) int, straggle map[int]func(fl.JobSpec), codec string) ([][]float64, transport.Stats) {
 	t.Helper()
-	coord, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	var wg sync.WaitGroup
-	workerErr := make([]error, nWorkers)
-	for id := 0; id < nWorkers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), len(domains), 7)
-			if err != nil {
-				workerErr[id] = err
-				return
-			}
-			ex, err := transport.NewExecutor(alg, 1)
-			if err != nil {
-				workerErr[id] = err
-				return
-			}
-			ex.Straggle = straggle[id]
-			w, err := transport.Dial(coord.Addr(), id)
-			if err != nil {
-				workerErr[id] = err
-				return
-			}
-			defer w.Close()
-			workerErr[id] = w.Serve(ex.Handle)
-		}(id)
-	}
-	if err := coord.Accept(nWorkers, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	alg, err := experiments.NewMethodFromFlag(method, model.DefaultConfig(family.Classes), len(domains), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := transport.NewPipeline(coord, alg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if codec != "" {
-		if err := pl.UseCodec(codec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runner := &fl.AsyncRunner{Inner: pl, Staleness: staleness, Delay: delay}
-	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := eng.Run(family, domains)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for id, err := range workerErr {
-		if err != nil {
-			t.Fatalf("worker %d: %v", id, err)
-		}
-	}
-	return mat.A, pl.Stats()
+	return runTCPFederation(t, method, family, domains, nWorkers, straggle, codec, func(pl fl.Runner) fl.Runner {
+		return &fl.AsyncRunner{Inner: pl, Staleness: staleness, Delay: delay}
+	})
 }
 
 // TestPipelinedStalenessZeroMatchesSync is the pipelining acceptance gate:
@@ -132,10 +63,11 @@ func TestPipelinedStalenessZeroMatchesSync(t *testing.T) {
 // TestPipelinedStalenessOneMatchesBarrierAsync pins the other half of the
 // equivalence: with a staleness window and deterministic stragglers, the
 // pipelined path — lagging results left in flight on the wire, awaited at
-// admission — must admit exactly what the barrier AsyncRunner admits when
-// it simulates the same delays over the synchronous transport, so the two
-// matrices are bit-identical even though their wall-clock schedules are
-// completely different.
+// admission — must admit exactly what the AsyncRunner admits when it
+// simulates the same delays over a barrier (the Pipeline behind
+// barrierOnly, every round awaited in full), so the two matrices are
+// bit-identical even though their wall-clock schedules are completely
+// different.
 func TestPipelinedStalenessOneMatchesBarrierAsync(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)
 	if err != nil {
@@ -144,7 +76,7 @@ func TestPipelinedStalenessOneMatchesBarrierAsync(t *testing.T) {
 	domains := family.Domains[:2]
 	delay := fl.StragglerDelay(crossRunnerConfig().Seed, 0.33, 1)
 	barrier := runTCP(t, "lwf", family, domains, 2, func(inner fl.Runner) fl.Runner {
-		return &fl.AsyncRunner{Inner: inner, Staleness: 1, Delay: delay}
+		return &fl.AsyncRunner{Inner: barrierOnly{inner}, Staleness: 1, Delay: delay}
 	})
 	piped, _ := runTCPPipelined(t, "lwf", family, domains, 2, 1, delay, nil, "delta")
 	requireSameMatrix(t, "pipelined(S=1)", barrier, piped)

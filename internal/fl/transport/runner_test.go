@@ -88,26 +88,40 @@ func runLocalAsync(t *testing.T, method string, family *data.Family, domains []s
 	return mat.A
 }
 
-// runTCP executes the same sequence with a transport Runner over loopback:
-// nWorkers goroutine "machines", each speaking only gob-over-TCP through an
-// Executor around its own independently constructed algorithm instance.
-// wrap, when non-nil, layers another runner (e.g. fl.AsyncRunner) over the
-// transport runner.
+// runTCP executes the same sequence with the transport Pipeline over
+// loopback: nWorkers goroutine "machines", each speaking only gob-over-TCP
+// through an Executor around its own independently constructed algorithm
+// instance. wrap, when non-nil, layers another runner (e.g. fl.AsyncRunner)
+// over the Pipeline.
 func runTCP(t *testing.T, method string, family *data.Family, domains []string, nWorkers int, wrap func(fl.Runner) fl.Runner) [][]float64 {
 	return runTCPCodec(t, method, family, domains, nWorkers, wrap, "")
 }
 
 // runTCPCodec is runTCP with an explicit broadcast codec ("" keeps the
-// Runner's default full snapshots).
+// Pipeline's default full snapshots).
 func runTCPCodec(t *testing.T, method string, family *data.Family, domains []string, nWorkers int, wrap func(fl.Runner) fl.Runner, codec string) [][]float64 {
 	mat, _ := runTCPCodecStats(t, method, family, domains, nWorkers, wrap, codec)
 	return mat
 }
 
-// runTCPCodecStats additionally returns the transport Runner's cumulative
-// wire accounting, so tests can assert which upload/broadcast paths a run
+// runTCPCodecStats additionally returns the Pipeline's cumulative wire
+// accounting, so tests can assert which upload/broadcast paths a run
 // actually exercised.
 func runTCPCodecStats(t *testing.T, method string, family *data.Family, domains []string, nWorkers int, wrap func(fl.Runner) fl.Runner, codec string) ([][]float64, transport.Stats) {
+	return runTCPFederation(t, method, family, domains, nWorkers, nil, codec, wrap)
+}
+
+// barrierOnly hides the Pipeline's fl.Dispatcher methods, so an
+// fl.AsyncRunner over it takes the plain-Runner path: every round awaited
+// in full (RunEach) before the next dispatch, lagging results completed
+// and queued locally — the barrier schedule the pipelined path must match.
+type barrierOnly struct{ fl.Runner }
+
+// runTCPFederation is the loopback harness behind runTCP and
+// runTCPPipelined: straggle maps a worker id to a pre-ack hook on that
+// worker's Executor, and each worker is pinned to codec (the fedworker
+// -codec guard: a frame from any other codec fails the run).
+func runTCPFederation(t *testing.T, method string, family *data.Family, domains []string, nWorkers int, straggle map[int]func(fl.JobSpec), codec string, wrap func(fl.Runner) fl.Runner) ([][]float64, transport.Stats) {
 	t.Helper()
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
@@ -131,9 +145,8 @@ func runTCPCodecStats(t *testing.T, method string, family *data.Family, domains 
 				workerErr[id] = err
 				return
 			}
-			// Pin the worker to the codec under test (the fedworker -codec
-			// guard): a frame from any other codec would fail the run.
 			ex.ExpectCodec = codec
+			ex.Straggle = straggle[id]
 			w, err := transport.Dial(coord.Addr(), id)
 			if err != nil {
 				workerErr[id] = err
@@ -151,16 +164,16 @@ func runTCPCodecStats(t *testing.T, method string, family *data.Family, domains 
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := transport.NewRunner(coord, alg)
+	pl, err := transport.NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if codec != "" {
-		if err := tr.UseCodec(codec); err != nil {
+		if err := pl.UseCodec(codec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var runner fl.Runner = tr
+	var runner fl.Runner = pl
 	if wrap != nil {
 		runner = wrap(runner)
 	}
@@ -172,6 +185,9 @@ func runTCPCodecStats(t *testing.T, method string, family *data.Family, domains 
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := pl.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +197,7 @@ func runTCPCodecStats(t *testing.T, method string, family *data.Family, domains 
 			t.Fatalf("worker %d: %v", id, err)
 		}
 	}
-	return mat.A, tr.Stats()
+	return mat.A, pl.Stats()
 }
 
 // TestCrossRunnerDeterminism asserts exact (==) equality of the accuracy
@@ -249,7 +265,7 @@ func TestAsyncStalenessZeroMatchesSync(t *testing.T) {
 }
 
 // TestAsyncOverTCPStalenessZero stacks the layers the fedserver CLI
-// stacks — engine → AsyncRunner(S=0) → transport Runner → TCP workers —
+// stacks — engine → AsyncRunner(S=0) → Pipeline → TCP workers —
 // and requires the result to stay bit-identical to the plain local run.
 func TestAsyncOverTCPStalenessZero(t *testing.T) {
 	family, err := data.NewFamily("pacs", 16)

@@ -6,7 +6,7 @@ import (
 	"reffil/internal/telemetry"
 )
 
-// Stats aggregates the Runner's wire accounting: the evidence that delta
+// Stats aggregates the Pipeline's wire accounting: the evidence that delta
 // broadcast actually saves bytes. Byte counts are raw TCP bytes measured at
 // the coordinator's sockets (gob framing, job specs and acks included), so
 // they reflect what a real network would carry, not just tensor payloads.
@@ -15,7 +15,7 @@ import (
 // the frame boundary), so compare upload numbers across rounds, not byte
 // for byte.
 type Stats struct {
-	// Rounds is how many round dispatches (Runner.Run calls) completed.
+	// Rounds is how many round dispatches completed (every job acked).
 	Rounds int64
 	// BroadcastBytes / UploadBytes are coordinator→worker and
 	// worker→coordinator TCP bytes.
@@ -23,15 +23,14 @@ type Stats struct {
 	UploadBytes    int64
 	// FullFrames / DeltaFrames / IdleFrames count broadcast frames by state
 	// kind: complete snapshots, per-key diffs, and frames carrying no state
-	// at all (idle workers, and re-queued jobs on a worker already at the
-	// current version).
+	// at all (idle workers). Replay broadcasts carry no frame and are not
+	// counted.
 	FullFrames  int64
 	DeltaFrames int64
 	IdleFrames  int64
 	// Fallbacks counts full snapshots a non-full codec was forced into
 	// because the target worker had no usable base version: fresh
-	// connections, and re-queued work on a survivor that never saw the
-	// state.
+	// connections and re-joined workers.
 	Fallbacks int64
 	// PatchUploads / StateUploads count acked job results by upload kind
 	// (v5): delta-encoded patches against the round's broadcast base vs
@@ -59,15 +58,16 @@ func (s *Stats) add(rs RoundStats) {
 }
 
 // RoundStats is one completed round dispatch's slice of the accounting,
-// delivered through Runner.OnRound.
+// delivered through Pipeline.OnRound.
 type RoundStats struct {
 	// Task and Round identify the dispatch.
 	Task, Round int
-	// Attempts is how many broadcast waves the round took (1 + re-queue
-	// attempts after worker deaths).
+	// Attempts is how many broadcast waves the round took (1 + one replay
+	// wave per worker death holding its jobs).
 	Attempts int
-	// BroadcastBytes / UploadBytes are this round's TCP bytes in each
-	// direction.
+	// BroadcastBytes / UploadBytes are the TCP bytes each direction carried
+	// between the round's dispatch and its last ack — exact for a round
+	// that ran alone, approximate under overlap.
 	BroadcastBytes int64
 	UploadBytes    int64
 	// Frame counts by state kind, as in Stats.
@@ -80,10 +80,8 @@ type RoundStats struct {
 	StateUploads    int64
 	UploadFallbacks int64
 	// DispatchNanos is the wall-clock span of the round's dispatch path —
-	// frame building plus broadcast sends. Under the pipelined runner this
-	// is all the coordinator pays before it can move on to the next round;
-	// under the barrier Runner the whole round (training included) sits
-	// inside its Run call and dispatch is only the send phase.
+	// frame building plus broadcast sends: all the coordinator pays before
+	// it can move on to the next round.
 	DispatchNanos int64
 	// FirstAckNanos / LastAckNanos are the wall-clock latencies from
 	// dispatch start to the round's first and last job ack. Zero when the
@@ -91,10 +89,8 @@ type RoundStats struct {
 	FirstAckNanos int64
 	LastAckNanos  int64
 	// OverlapNanos is how much of this round's collection span ran after a
-	// later round had already been dispatched — the wall-clock time the
-	// pipelined runner reclaimed from the barrier. Always zero under the
-	// barrier Runner, where no later round dispatches until this one
-	// completes.
+	// later round had already been dispatched. Always zero for a round
+	// awaited in full before the next dispatch (staleness 0).
 	OverlapNanos int64
 }
 
@@ -110,13 +106,13 @@ func (rs RoundStats) OverlapRatio() float64 {
 
 // observation converts one completed round into the telemetry record. Byte
 // totals are the *cumulative* socket counters at completion rather than the
-// per-round split: the pipelined runner cannot attribute socket bytes to a
+// per-round split: overlapping rounds cannot attribute socket bytes to a
 // single in-flight round, and mirroring the running totals makes the
-// /metrics byte counters reconcile exactly with Stats for both runners.
-func (rs RoundStats) observation(start time.Time, pipelined bool, totalBroadcast, totalUpload int64) telemetry.RoundObservation {
+// /metrics byte counters reconcile exactly with Stats.
+func (rs RoundStats) observation(start time.Time, totalBroadcast, totalUpload int64) telemetry.RoundObservation {
 	return telemetry.RoundObservation{
 		Task: rs.Task, Round: rs.Round, Attempts: rs.Attempts,
-		Pipelined: pipelined, Start: start,
+		Start:         start,
 		DispatchNanos: rs.DispatchNanos,
 		FirstAckNanos: rs.FirstAckNanos,
 		LastAckNanos:  rs.LastAckNanos,

@@ -1,4 +1,4 @@
-// Telemetry acceptance gates for the transport layer: the PR-7 RoundStats
+// Telemetry acceptance gates for the transport layer: the RoundStats
 // wall-clock timing fields must obey their defining inequalities on a real
 // loopback federation with genuinely slow workers, and a /metrics registry
 // attached to a run must reconcile exactly with the transport's own
@@ -25,6 +25,8 @@ import (
 
 // telemetryRunOpts configures one instrumented loopback federation.
 type telemetryRunOpts struct {
+	// pipelined runs the AsyncRunner over the Pipeline itself; otherwise
+	// over barrierOnly, which awaits every round in full before the next.
 	pipelined bool
 	staleness int
 	delay     func(round int, spec fl.JobSpec) int
@@ -80,39 +82,22 @@ func runTCPTelemetry(t *testing.T, family *data.Family, domains []string, nWorke
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tr interface {
-		fl.Runner
-		UseCodec(string) error
-		Stats() transport.Stats
+	pl, err := transport.NewPipeline(coord, alg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	closeTransport := func() {}
-	if opt.pipelined {
-		pl, err := transport.NewPipeline(coord, alg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl.Telemetry = opt.sink
-		pl.OnRound = opt.onRound
-		closeTransport = func() { _ = pl.Close() }
-		tr = pl
-	} else {
-		br, err := transport.NewRunner(coord, alg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		br.Telemetry = opt.sink
-		br.OnRound = opt.onRound
-		tr = br
-	}
+	pl.Telemetry = opt.sink
+	pl.OnRound = opt.onRound
 	if opt.codec != "" {
-		if err := tr.UseCodec(opt.codec); err != nil {
+		if err := pl.UseCodec(opt.codec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var runner fl.Runner = tr
-	if opt.pipelined || opt.staleness > 0 {
-		runner = &fl.AsyncRunner{Inner: tr, Staleness: opt.staleness, Delay: opt.delay, Telemetry: opt.sink}
+	var inner fl.Runner = pl
+	if !opt.pipelined {
+		inner = barrierOnly{pl}
 	}
+	runner := &fl.AsyncRunner{Inner: inner, Staleness: opt.staleness, Delay: opt.delay, Telemetry: opt.sink}
 	eng, err := fl.NewEngineWithRunner(crossRunnerConfig(), alg, runner)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +106,9 @@ func runTCPTelemetry(t *testing.T, family *data.Family, domains []string, nWorke
 	if _, err := eng.Run(family, domains); err != nil {
 		t.Fatal(err)
 	}
-	closeTransport()
+	if err := pl.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +118,10 @@ func runTCPTelemetry(t *testing.T, family *data.Family, domains []string, nWorke
 			t.Fatalf("worker %d: %v", id, err)
 		}
 	}
-	return tr.Stats()
+	return pl.Stats()
 }
 
-// TestRoundStatsTiming pins the PR-7 wall-clock fields with bounded
+// TestRoundStatsTiming pins the RoundStats wall-clock fields with bounded
 // inequalities rather than exact values: on a barrier run where every
 // worker really sleeps before each ack, the first ack cannot arrive before
 // the sleep has elapsed, acks are ordered, and a barrier round — which by

@@ -58,9 +58,9 @@ func TestToWireCopiesData(t *testing.T) {
 	}
 }
 
-// wireAlg is the minimal coordinator-side fl.Algorithm for Runner tests: a
-// single scalar parameter. The Runner only reads Global()'s state dict and
-// the algorithm's name; training happens in the tests' scripted worker
+// wireAlg is the minimal coordinator-side fl.Algorithm for Pipeline tests:
+// a single scalar parameter. The Pipeline only reads Global()'s state dict
+// and the algorithm's name; training happens in the tests' scripted worker
 // handlers, never through LocalTrain.
 type wireAlg struct {
 	w      *autograd.Value
@@ -119,6 +119,42 @@ func wireJobs(clients ...int) []fl.Job {
 	return jobs
 }
 
+// runAll runs one barrier round through the Pipeline and returns its
+// results in job order.
+func runAll(p *Pipeline, jobs []fl.Job) ([]fl.Result, error) {
+	results := make([]fl.Result, len(jobs))
+	err := p.RunEach(jobs, func(i int, res fl.Result) error {
+		results[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// waitRounds receives n RoundStats from an OnRound channel. OnRound fires
+// on a collector goroutine after the round's last ack, so it can trail
+// the Await that returned that ack's result.
+func waitRounds(t *testing.T, ch <-chan RoundStats, n int) []RoundStats {
+	t.Helper()
+	out := make([]RoundStats, 0, n)
+	for len(out) < n {
+		select {
+		case rs := <-ch:
+			out = append(out, rs)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("OnRound fired %d times, want %d", len(out), n)
+		}
+	}
+	select {
+	case rs := <-ch:
+		t.Fatalf("OnRound fired more than %d times: extra %+v", n, rs)
+	default:
+	}
+	return out
+}
+
 // cloneDict deep-copies a state dict (tracker dicts share tensors across
 // versions, so handlers must copy before perturbing).
 func cloneDict(d map[string]*tensor.Tensor) map[string]*tensor.Tensor {
@@ -131,10 +167,12 @@ func cloneDict(d map[string]*tensor.Tensor) map[string]*tensor.Tensor {
 
 // perturbHandler returns a streaming handler that "trains" each assigned
 // job by adding delta(clientID) to every broadcast weight and acks it. It
-// maintains the worker-side frame tracker and follows the v5 upload
-// policy — patch uploads against the broadcast base under any non-full
-// codec, legacy full state otherwise — so it works under every codec
-// (full snapshots, per-key deltas, idle frames).
+// maintains the worker-side frame tracker, trains replay broadcasts
+// against their out-of-band origin state without touching that tracker,
+// and follows the v5 upload policy — patch uploads against the base the
+// job trained from under any non-full codec, legacy full state otherwise —
+// so it works under every codec (full snapshots, per-key deltas, idle
+// frames, replays).
 func perturbHandler(delta func(id int) float64) func(Broadcast, func(JobResult) error) error {
 	return perturbKeysHandler(nil, delta)
 }
@@ -145,15 +183,24 @@ func perturbHandler(delta func(id int) float64) func(Broadcast, func(JobResult) 
 func perturbKeysHandler(keys []string, delta func(id int) float64) func(Broadcast, func(JobResult) error) error {
 	var tr wire.Tracker
 	return func(b Broadcast, emit func(JobResult) error) error {
-		if _, _, _, err := tr.Apply(&b.Frame); err != nil {
-			return err
+		var base map[string]*tensor.Tensor
+		if b.Replay != nil {
+			var err error
+			if base, err = FromWire(b.Replay.State); err != nil {
+				return err
+			}
+		} else {
+			if _, _, _, err := tr.Apply(&b.Frame); err != nil {
+				return err
+			}
+			base = tr.Dict
 		}
 		upCodec, err := wire.ForUpload(b.Codec)
 		if err != nil {
 			return err
 		}
 		for k, spec := range b.Jobs {
-			state := cloneDict(tr.Dict)
+			state := cloneDict(base)
 			for name, v := range state {
 				if keys != nil {
 					hit := false
@@ -170,8 +217,8 @@ func perturbKeysHandler(keys []string, delta func(id int) float64) func(Broadcas
 				}
 			}
 			jr := JobResult{Index: k}
-			if upCodec != nil && tr.Dict != nil {
-				p, err := upCodec.Encode(tr.Dict, state)
+			if upCodec != nil && base != nil {
+				p, err := upCodec.Encode(base, state)
 				if err != nil {
 					return err
 				}
@@ -229,7 +276,7 @@ func fakeCoordHandshake(t *testing.T, conn net.Conn) (*gob.Encoder, *gob.Decoder
 
 // TestRunnerStreamsPerJobAcks drives the v3 flow end to end over loopback:
 // three jobs fan out over two workers, each worker streams one ack per job
-// plus a Done frame, and the Runner maps the acks back into job order.
+// plus a Done frame, and the Pipeline maps the acks back into job order.
 func TestRunnerStreamsPerJobAcks(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -243,11 +290,11 @@ func TestRunnerStreamsPerJobAcks(t *testing.T) {
 	)
 
 	alg := newWireAlg(100)
-	r, err := NewRunner(coord, alg)
+	r, err := NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := r.Run(wireJobs(1, 2, 3))
+	results, err := runAll(r, wireJobs(1, 2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,12 +326,12 @@ func TestRunnerIdleWorkerStaysInLockstep(t *testing.T) {
 		func(w *Worker) error { return w.Serve(perturbHandler(func(id int) float64 { return 1 })) },
 		func(w *Worker) error { return w.Serve(perturbHandler(func(id int) float64 { return 1 })) },
 	)
-	r, err := NewRunner(coord, newWireAlg(0))
+	r, err := NewPipeline(coord, newWireAlg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		results, err := r.Run(wireJobs(7))
+		results, err := runAll(r, wireJobs(7))
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -343,17 +390,14 @@ func TestRunnerRequeuesDeadWorkerJobs(t *testing.T) {
 		func(w *Worker) error { return w.Serve(perturbHandler(func(id int) float64 { return float64(id) })) },
 	)
 
-	r, err := NewRunner(coord, newWireAlg(100))
+	r, err := NewPipeline(coord, newWireAlg(100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Requeue {
-		t.Fatal("re-queue must default on")
-	}
 	// Round-robin over 2 workers: slot 0 (the killer) gets jobs 0 and 2,
 	// slot 1 gets job 1. Job 0 is acked before the crash; job 2 must be
-	// re-queued onto slot 1.
-	results, err := r.Run(wireJobs(1, 2, 3))
+	// re-queued onto slot 1 as a replay of the round's state.
+	results, err := runAll(r, wireJobs(1, 2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +415,7 @@ func TestRunnerRequeuesDeadWorkerJobs(t *testing.T) {
 	}
 
 	// Survivor-only follow-up round.
-	results, err = r.Run(wireJobs(4, 5))
+	results, err = runAll(r, wireJobs(4, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,37 +424,6 @@ func TestRunnerRequeuesDeadWorkerJobs(t *testing.T) {
 			t.Fatalf("follow-up job %d result = %v, want %v", i, got, want)
 		}
 	}
-	if err := coord.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done[1]; err != nil {
-		t.Fatalf("survivor: %v", err)
-	}
-}
-
-// TestRunnerFailsFastWithoutRequeue pins the opt-out: with Requeue off, a
-// worker death mid-round fails the round instead of re-queueing.
-func TestRunnerFailsFastWithoutRequeue(t *testing.T) {
-	coord, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	done := acceptInOrder(t, coord,
-		func(w *Worker) error {
-			return w.Serve(killAfterFirstAck(w, perturbHandler(func(id int) float64 { return float64(id) })))
-		},
-		func(w *Worker) error { return w.Serve(perturbHandler(func(id int) float64 { return float64(id) })) },
-	)
-	r, err := NewRunner(coord, newWireAlg(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Requeue = false
-	if _, err := r.Run(wireJobs(1, 2, 3)); err == nil || !strings.Contains(err.Error(), "re-queue disabled") {
-		t.Fatalf("run error = %v, want a re-queue-disabled failure", err)
-	}
-	<-done[0]
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -432,11 +445,11 @@ func TestRunnerFailsWhenAllWorkersDie(t *testing.T) {
 			return w.Serve(killAfterFirstAck(w, perturbHandler(func(id int) float64 { return float64(id) })))
 		},
 	)
-	r, err := NewRunner(coord, newWireAlg(0))
+	r, err := NewPipeline(coord, newWireAlg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(wireJobs(1, 2)); err == nil || !strings.Contains(err.Error(), "no live workers") {
+	if _, err := runAll(r, wireJobs(1, 2)); err == nil || !strings.Contains(err.Error(), "no live workers") {
 		t.Fatalf("run error = %v, want a no-live-workers failure", err)
 	}
 	<-done[0]
@@ -594,7 +607,7 @@ func TestWorkerRejectsVersionMismatch(t *testing.T) {
 }
 
 // TestCoordinatorRejectsVersionMismatch connects a raw gob stream posing
-// as an old-protocol worker: the Runner's round must fail instead of
+// as an old-protocol worker: the Pipeline's round must fail instead of
 // consuming its acks.
 func TestCoordinatorRejectsVersionMismatch(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
@@ -631,11 +644,11 @@ func TestCoordinatorRejectsVersionMismatch(t *testing.T) {
 	if err := coord.Accept(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(coord, newWireAlg(0))
+	r, err := NewPipeline(coord, newWireAlg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(wireJobs(1)); err == nil || !strings.Contains(err.Error(), "protocol") {
+	if _, err := runAll(r, wireJobs(1)); err == nil || !strings.Contains(err.Error(), "protocol") {
 		t.Fatalf("round error = %v, want a protocol version rejection", err)
 	}
 	if err := <-done; err != nil {
@@ -649,11 +662,11 @@ func TestRunnerWithoutWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	r, err := NewRunner(coord, newWireAlg(0))
+	r, err := NewPipeline(coord, newWireAlg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(wireJobs(1)); err == nil {
+	if _, err := runAll(r, wireJobs(1)); err == nil {
 		t.Fatal("round with no workers must error")
 	}
 }
@@ -669,7 +682,7 @@ func TestAcceptTimeout(t *testing.T) {
 	}
 }
 
-// TestMultiRoundFederation runs five engine-free rounds through the Runner
+// TestMultiRoundFederation runs five engine-free rounds through the Pipeline
 // with the aggregate fed back between rounds, checking the round stream
 // framing survives reuse of the same connections.
 func TestMultiRoundFederation(t *testing.T) {
@@ -682,12 +695,12 @@ func TestMultiRoundFederation(t *testing.T) {
 		func(w *Worker) error { return w.Serve(perturbHandler(func(id int) float64 { return 1 })) },
 	)
 	alg := newWireAlg(0)
-	r, err := NewRunner(coord, alg)
+	r, err := NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 5; round++ {
-		results, err := r.Run(wireJobs(1))
+		results, err := runAll(r, wireJobs(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -726,35 +739,33 @@ func TestRunnerDeltaStats(t *testing.T) {
 
 	const frozenElems = 1 << 12
 	alg := newWireAlg(100).withFrozenBuffer(frozenElems)
-	r, err := NewRunner(coord, alg)
+	r, err := NewPipeline(coord, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.UseCodec("delta"); err != nil {
 		t.Fatal(err)
 	}
-	var rounds []RoundStats
-	r.OnRound = func(rs RoundStats) { rounds = append(rounds, rs) }
+	roundCh := make(chan RoundStats, 8)
+	r.OnRound = func(rs RoundStats) { roundCh <- rs }
 
-	if _, err := r.Run(wireJobs(1, 2)); err != nil {
+	if _, err := runAll(r, wireJobs(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(wireJobs(1)); err != nil { // switching codec mid-run must be rejected
+	if _, err := runAll(r, wireJobs(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.UseCodec("full"); err == nil {
+	if err := r.UseCodec("full"); err == nil { // switching codec mid-run must be rejected
 		t.Fatal("switching codec after the first round must error")
 	}
 	// Round 3: only the scalar changed since round 2 — the delta must skip
 	// the frozen buffer.
 	alg.w.T.Data()[0] = 42
-	if _, err := r.Run(wireJobs(1, 2)); err != nil {
+	if _, err := runAll(r, wireJobs(1, 2)); err != nil {
 		t.Fatal(err)
 	}
 
-	if len(rounds) != 3 {
-		t.Fatalf("OnRound fired %d times, want 3", len(rounds))
-	}
+	rounds := waitRounds(t, roundCh, 3)
 	first, third := rounds[0], rounds[2]
 	if first.FullFrames != 2 || first.Fallbacks != 2 || first.DeltaFrames != 0 {
 		t.Fatalf("round 1 frames: %+v, want 2 full-snapshot fallbacks", first)
@@ -857,7 +868,7 @@ func TestCoordinatorClosedSafe(t *testing.T) {
 
 	var wg sync.WaitGroup
 	// Hammer the paths a straggling round goroutine would hit while Close
-	// runs (one sender and one receiver per connection, as the Runner
+	// runs (one sender and one receiver per connection, as the Pipeline
 	// guarantees); under -race this also proves the locking.
 	wg.Add(3)
 	go func() {
@@ -905,9 +916,10 @@ func TestCoordinatorClosedSafe(t *testing.T) {
 }
 
 // TestUseCodecConcurrentWithRun is the -race regression for the
-// started/enc guard: UseCodec racing Run must either install the codec
-// before the round pins its encoder or fail with the started error —
-// never tear the encoder out from under a round in flight.
+// started/enc guard: UseCodec racing a round's Dispatch must either
+// install the codec before the round pins its encoder or fail with the
+// started error — never tear the encoder out from under a round in
+// flight.
 func TestUseCodecConcurrentWithRun(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -917,7 +929,7 @@ func TestUseCodecConcurrentWithRun(t *testing.T) {
 	done := acceptInOrder(t, coord,
 		func(w *Worker) error { return w.Serve(perturbHandler(func(int) float64 { return 1 })) },
 	)
-	r, err := NewRunner(coord, newWireAlg(0))
+	r, err := NewPipeline(coord, newWireAlg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -938,7 +950,7 @@ func TestUseCodecConcurrentWithRun(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 3; round++ {
-		if _, err := r.Run(wireJobs(1)); err != nil {
+		if _, err := runAll(r, wireJobs(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -958,9 +970,11 @@ func TestUseCodecConcurrentWithRun(t *testing.T) {
 // TestRequeueFullSnapshotForBaselessSurvivor pins the re-queue/delta
 // interaction: jobs re-queued onto a survivor that never saw any state
 // version (it was idle when the round's delta broadcast went out) must
-// arrive with a full snapshot, not a diff against a base it does not hold.
-// Workers 0 and 1 die on receiving their state broadcast; idle worker 2
-// inherits both jobs and must observe frame kinds [none, full].
+// arrive as a Replay carrying the origin round's full state, not a diff
+// against a base the survivor does not hold — and the replay must leave
+// the survivor's tracker mirror untouched, so its version stream resumes
+// where it was. Workers 0 and 1 die on receiving their state broadcast;
+// idle worker 2 inherits both jobs.
 func TestRequeueFullSnapshotForBaselessSurvivor(t *testing.T) {
 	coord, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -968,45 +982,38 @@ func TestRequeueFullSnapshotForBaselessSurvivor(t *testing.T) {
 	}
 	defer coord.Close()
 
-	// killOnState closes the connection as soon as a broadcast carries
-	// state, before acking anything.
+	// killOnState closes the connection as soon as a broadcast arrives,
+	// before acking anything.
 	killOnState := func(w *Worker) func(Broadcast, func(JobResult) error) error {
 		return func(b Broadcast, emit func(JobResult) error) error {
-			if err := w.Close(); err != nil {
-				return err
-			}
-			return nil
+			return w.Close()
 		}
 	}
-	kinds := make(chan wire.Kind, 8)
-	recording := func(inner func(Broadcast, func(JobResult) error) error) func(Broadcast, func(JobResult) error) error {
-		return func(b Broadcast, emit func(JobResult) error) error {
-			kinds <- b.Frame.Kind
-			return inner(b, emit)
-		}
-	}
-	var survivorHandler func(*Worker) error
-	survivorHandler = func(w *Worker) error {
-		return w.Serve(recording(perturbHandler(func(id int) float64 { return float64(id) })))
-	}
+	seen := make(chan Broadcast, 8)
+	survivor := perturbHandler(func(id int) float64 { return float64(id) })
 	done := acceptInOrder(t, coord,
 		func(w *Worker) error { return w.Serve(killOnState(w)) },
 		func(w *Worker) error { return w.Serve(killOnState(w)) },
-		survivorHandler,
+		func(w *Worker) error {
+			return w.Serve(func(b Broadcast, emit func(JobResult) error) error {
+				seen <- b
+				return survivor(b, emit)
+			})
+		},
 	)
 
-	r, err := NewRunner(coord, newWireAlg(100))
+	r, err := NewPipeline(coord, newWireAlg(100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.UseCodec("delta"); err != nil {
 		t.Fatal(err)
 	}
-	var rounds []RoundStats
-	r.OnRound = func(rs RoundStats) { rounds = append(rounds, rs) }
+	roundCh := make(chan RoundStats, 8)
+	r.OnRound = func(rs RoundStats) { roundCh <- rs }
 
 	// Two jobs over three workers: slots 0 and 1 get one each, slot 2 idles.
-	results, err := r.Run(wireJobs(1, 2))
+	results, err := runAll(r, wireJobs(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1018,13 +1025,20 @@ func TestRequeueFullSnapshotForBaselessSurvivor(t *testing.T) {
 	if got := coord.NumLive(); got != 1 {
 		t.Fatalf("live workers = %d, want 1", got)
 	}
-	if len(rounds) != 1 || rounds[0].Attempts != 2 {
-		t.Fatalf("round stats %+v, want one round with 2 attempts", rounds)
+	rounds := waitRounds(t, roundCh, 1)
+	// The dispatch sent full snapshots (fresh workers) to slots 0 and 1 and
+	// an idle frame to slot 2; replays are out-of-band and add no frames.
+	if rs := rounds[0]; rs.FullFrames != 2 || rs.Fallbacks != 2 || rs.IdleFrames != 1 || rs.DeltaFrames != 0 || rs.Attempts < 2 {
+		t.Fatalf("round stats %+v, want 2 full fallbacks, 1 idle frame and at least one replay wave", rs)
 	}
-	// Attempt 1: full to slots 0 and 1, none to idle slot 2. Attempt 2: a
-	// full-snapshot fallback to slot 2, which has no base.
-	if rounds[0].FullFrames != 3 || rounds[0].IdleFrames != 1 || rounds[0].Fallbacks != 3 {
-		t.Fatalf("frame counts %+v, want 3 full (all fallbacks) and 1 idle", rounds[0])
+	r.tmu.Lock()
+	mirror := r.trackers[2]
+	r.tmu.Unlock()
+	if mirror == nil || mirror.Dict != nil || mirror.Version != 0 {
+		t.Fatalf("survivor's tracker mirror %+v, want it untouched by the replays (no state)", mirror)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if err := coord.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -1034,12 +1048,29 @@ func TestRequeueFullSnapshotForBaselessSurvivor(t *testing.T) {
 	if err := <-done[2]; err != nil {
 		t.Fatalf("survivor: %v", err)
 	}
-	close(kinds)
-	var got []wire.Kind
-	for k := range kinds {
-		got = append(got, k)
+	close(seen)
+	// A death can be handled before the dispatch reaches the survivor, so
+	// replays and the idle frame arrive in either order; the slot's send
+	// lock keeps the wire order equal to the coordinator's queue order.
+	idle, replayed := 0, 0
+	for b := range seen {
+		if b.Replay == nil {
+			if b.Frame.Kind != wire.KindNone || len(b.Jobs) != 0 {
+				t.Fatalf("survivor received a non-replay broadcast %+v, want only the round's idle frame", b)
+			}
+			idle++
+			continue
+		}
+		state, err := FromWire(b.Replay.State)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := state["w"].At(0); got != 100 || b.Task != 0 || b.Round != 0 {
+			t.Fatalf("replay of task %d round %d carries w = %v, want round (0,0)'s state 100", b.Task, b.Round, got)
+		}
+		replayed += len(b.Jobs)
 	}
-	if len(got) != 2 || got[0] != wire.KindNone || got[1] != wire.KindFull {
-		t.Fatalf("survivor observed frame kinds %v, want [none full]", got)
+	if idle != 1 || replayed != 2 {
+		t.Fatalf("survivor saw %d idle frames and replayed %d jobs, want 1 and both", idle, replayed)
 	}
 }

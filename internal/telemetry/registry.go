@@ -20,6 +20,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -383,10 +384,11 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Serve binds addr and serves /metrics (plus the process's
-// /debug/pprof endpoints via http.DefaultServeMux, so one scrape address
-// covers both) in a background goroutine for the life of the process. It
-// returns the bound address, useful with ephemeral ports ("127.0.0.1:0").
+// Serve binds addr and serves /metrics plus the Go runtime's
+// net/http/pprof endpoints under /debug/pprof/ (so one address covers
+// scraping and live CPU/heap profiling) in a background goroutine for the
+// life of the process. It returns the bound address, useful with
+// ephemeral ports ("127.0.0.1:0").
 func (r *Registry) Serve(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -394,7 +396,11 @@ func (r *Registry) Serve(addr string) (string, error) {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.Handler())
-	mux.Handle("/debug/", http.DefaultServeMux)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	go func() { _ = http.Serve(ln, mux) }()
 	return ln.Addr().String(), nil
 }

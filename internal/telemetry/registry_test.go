@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -169,6 +170,49 @@ func TestHandlerServesMetrics(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "fed_rounds_total 12") {
 		t.Errorf("body missing counter:\n%s", sb.String())
+	}
+}
+
+// TestServeExposesPprofEndpoints pins the one observability address: the
+// server Serve starts answers both /metrics and the net/http/pprof pages,
+// which it must mount on its own mux (nothing else registers them).
+func TestServeExposesPprofEndpoints(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("fed_rounds_total", "Rounds.").Add(3)
+	addr, err := reg.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		return string(body)
+	}
+	if body := get("/debug/pprof/heap?debug=1"); !strings.Contains(body, "heap profile") {
+		t.Fatalf("heap profile body missing header, got %q...", body[:min(80, len(body))])
+	}
+	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
+		t.Fatalf("pprof index lists no goroutine profile, got %q...", body[:min(80, len(body))])
+	}
+	if body := get("/metrics"); !strings.Contains(body, "fed_rounds_total 3") {
+		t.Fatalf("/metrics on the same address is missing the counter:\n%s", body)
+	}
+}
+
+func TestServeRejectsBadAddress(t *testing.T) {
+	if _, err := NewRegistry().Serve("localhost:-1"); err == nil {
+		t.Fatal("expected an error for an invalid address")
 	}
 }
 

@@ -2,7 +2,8 @@
 # Metrics-endpoint smoke test: run the TCP federation demo with -metrics,
 # scrape the Prometheus page while the process lingers, and check that the
 # round counter and the broadcast byte counter are nonzero — i.e. the
-# telemetry subsystem is wired into the live transport, not just compiled.
+# telemetry subsystem is wired into the live transport, not just compiled —
+# and that the same address serves the net/http/pprof index.
 #
 # Usage: scripts/metrics_smoke.sh
 # Exits nonzero (with the captured log) on any failure.
@@ -33,11 +34,11 @@ for _ in $(seq 1 100); do
 done
 [ -n "$url" ] || { echo "FAIL: no metrics address in log"; cat "$work/run.log"; exit 1; }
 
-scrape() {
+fetch() {
 	if command -v curl >/dev/null 2>&1; then
-		curl -sf "$url"
+		curl -sf "$1"
 	else
-		wget -qO- "$url"
+		wget -qO- "$1"
 	fi
 }
 
@@ -45,7 +46,7 @@ scrape() {
 # demo's first federation finishes in well under this bound.
 ok=0
 for _ in $(seq 1 300); do
-	if scrape >"$work/metrics.txt" 2>/dev/null &&
+	if fetch "$url" >"$work/metrics.txt" 2>/dev/null &&
 		grep -Eq '^fed_rounds_total [1-9]' "$work/metrics.txt" &&
 		grep -Eq '^fed_broadcast_bytes_total [1-9]' "$work/metrics.txt"; then
 		ok=1
@@ -63,5 +64,12 @@ if [ "$ok" != 1 ]; then
 	exit 1
 fi
 
-echo "metrics smoke OK:"
+pprof_url="${url%/metrics}/debug/pprof/"
+if ! fetch "$pprof_url" >"$work/pprof.txt" 2>/dev/null || ! grep -q 'goroutine' "$work/pprof.txt"; then
+	echo "FAIL: $pprof_url did not serve the pprof index"
+	cat "$work/pprof.txt" 2>/dev/null || true
+	exit 1
+fi
+
+echo "metrics smoke OK (pprof index served at $pprof_url):"
 grep -E '^fed_(rounds_total|broadcast_bytes_total|upload_bytes_total) ' "$work/metrics.txt"
